@@ -22,25 +22,16 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _machine_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type for an integer flag that must be >= low."""
 
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _non_negative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,14 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random instance file on stdout")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=_machine_count, required=True, help="machine count (>= 2)")
-    p.add_argument("--n", type=_positive, required=True, help="job count (>= 1)")
-    p.add_argument("--pmax", type=_positive, required=True, help="largest processing time")
+    p.add_argument("--m", type=_at_least(2), required=True, help="machine count (>= 2)")
+    p.add_argument("--n", type=_at_least(1), required=True, help="job count (>= 1)")
+    p.add_argument("--pmax", type=_at_least(1), required=True, help="largest processing time")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("count", help="closed-form tree and schedule counts")
-    p.add_argument("--m", type=_machine_count, required=True)
-    p.add_argument("--n", type=_positive, required=True)
+    p.add_argument("--m", type=_at_least(2), required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("solve", help="exact optimum of an instance file")
@@ -67,24 +58,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("brute", "bnb"), default="brute")
     p.add_argument(
         "--threads",
-        type=_positive,
+        type=_at_least(1),
         default=None,
         help="worker processes for the brute-force scan (default: machine parallelism)",
     )
-    p.add_argument("--leaf-budget", type=_positive, default=solver.DEFAULT_LEAF_BUDGET)
+    p.add_argument("--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a certificate against a threshold")
     p.add_argument("instance_file")
     p.add_argument("certificate_file")
-    p.add_argument("--threshold", type=_positive, required=True)
+    p.add_argument("--threshold", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("decide", help="is there a schedule within the threshold?")
     p.add_argument("instance_file")
-    p.add_argument("--threshold", type=_positive, required=True)
+    p.add_argument("--threshold", type=_at_least(1), required=True)
     p.add_argument("--witness-out", help="also write the witness certificate here")
-    p.add_argument("--leaf-budget", type=_positive, default=solver.DEFAULT_LEAF_BUDGET)
+    p.add_argument("--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET)
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser(
@@ -102,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dot", help="Graphviz rendering of the assignment tree")
     p.add_argument("instance_file")
-    p.add_argument("--max-level", type=_non_negative, required=True)
-    p.add_argument("--node-cap", type=_positive, default=tree.DEFAULT_NODE_CAP)
+    p.add_argument("--max-level", type=_at_least(0), required=True)
+    p.add_argument("--node-cap", type=_at_least(1), default=tree.DEFAULT_NODE_CAP)
     p.set_defaults(func=_cmd_dot)
 
     return parser
@@ -171,12 +162,16 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     if not yes:
         print("no")
         return EXIT_NO
-    print("yes")
     payload = files.dump_json(files.certificate_to_json(witness))
-    print(payload)
+    # write the side file first, so a failed write leaves stdout empty
     if args.witness_out:
-        with open(args.witness_out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        try:
+            with open(args.witness_out, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+        except OSError as exc:
+            raise FileFormatError(f"{args.witness_out}: {exc.strerror or exc}") from exc
+    print("yes")
+    print(payload)
     return EXIT_OK
 
 
@@ -210,10 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except tree.DomainError as exc:
+    except (FileFormatError, tree.DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (solver.BudgetExceeded, tree.TooLarge) as exc:

@@ -90,16 +90,20 @@ def parse_certificate(data: Any) -> Certificate:
 
 
 def load_json(path: str | Path) -> Any:
+    """The parsed JSON value in `path`; every way reading or parsing it can
+    fail is a FileFormatError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
-    try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
+    # ValueError: not UTF-8, or an integer past the interpreter's digit limit;
+    # RecursionError: arrays or objects nested too deep for the parser
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -110,20 +114,12 @@ def load_partition(path: str | Path) -> PartitionInstance:
     return parse_partition(load_json(path))
 
 
-def load_mumpsp(path: str | Path) -> MumpspInstance:
-    return parse_mumpsp(load_json(path))
-
-
 def load_certificate(path: str | Path) -> Certificate:
     return parse_certificate(load_json(path))
 
 
 def instance_to_json(instance: Instance) -> dict:
     return {"machines": instance.machine_count, "jobs": list(instance.processing_times)}
-
-
-def partition_to_json(pp: PartitionInstance) -> dict:
-    return {"weights": list(pp.weights)}
 
 
 def mumpsp_to_json(instance: MumpspInstance) -> dict:

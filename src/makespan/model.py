@@ -37,18 +37,22 @@ class LengthMismatch(SchedulingError):
 
 
 class InvalidMachineIndex(SchedulingError):
-    """An assignment entry falls outside 1..machine_count."""
+    """An assignment entry is not an int in 1..machine_count."""
 
 
 class NotTwoMachines(SchedulingError):
     """Operation is defined for exactly two machines."""
 
 
-def _positive_int(value: object, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInstance(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidInstance(f"{what} must be >= 1, got {value}")
+def _int_at_least(
+    value: object, low: int, what: str, error: type[SchedulingError] = InvalidInstance
+) -> int:
+    """The one integer rule for machine counts, processing times and weights:
+    a plain int (so not a bool) that is at least `low`, else `error`."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
     return value
 
 
@@ -65,14 +69,11 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "processing_times", tuple(self.processing_times))
-        if isinstance(self.machine_count, bool) or not isinstance(self.machine_count, int):
-            raise InvalidInstance(f"machine count must be an integer, got {self.machine_count!r}")
-        if self.machine_count < 2:
-            raise InvalidInstance(f"need at least 2 machines, got {self.machine_count}")
+        _int_at_least(self.machine_count, 2, "machine count")
         if not self.processing_times:
             raise InvalidInstance("need at least one job")
         for i, p in enumerate(self.processing_times, 1):
-            _positive_int(p, f"processing time of job {i}")
+            _int_at_least(p, 1, f"processing time of job {i}")
 
     @property
     def job_count(self) -> int:
@@ -95,27 +96,31 @@ def make_instance(machine_count: int, processing_times: Iterable[int]) -> Instan
 def check_assignment(instance: Instance, assignment: Sequence[int]) -> None:
     """Raise LengthMismatch / InvalidMachineIndex unless `assignment` is a
     complete schedule for `instance`."""
-    if len(assignment) != instance.job_count:
-        raise LengthMismatch(
-            f"assignment has {len(assignment)} entries, instance has "
-            f"{instance.job_count} jobs"
-        )
-    m = instance.machine_count
-    for pos, machine in enumerate(assignment, 1):
-        if not 1 <= machine <= m:
-            raise InvalidMachineIndex(
-                f"job {pos} assigned to machine {machine}, valid range is 1..{m}"
-            )
+    loads(instance, assignment)
 
 
 def loads(instance: Instance, schedule: Sequence[int]) -> list[int]:
     """Per-machine load vector: entry j-1 sums the times of jobs on machine j.
 
-    The entries always sum to the instance's total work.
+    This is the one validated walk of a schedule: raises LengthMismatch
+    unless there is one entry per job, and InvalidMachineIndex for any entry
+    that is not a plain int (so not a bool) in 1..machine_count.  The entries
+    always sum to the instance's total work.
     """
-    check_assignment(instance, schedule)
-    out = [0] * instance.machine_count
+    if len(schedule) != instance.job_count:
+        raise LengthMismatch(
+            f"assignment has {len(schedule)} entries, instance has "
+            f"{instance.job_count} jobs"
+        )
+    m = instance.machine_count
+    out = [0] * m
     for p, machine in zip(instance.processing_times, schedule):
+        if type(machine) is not int or not 1 <= machine <= m:
+            # the first entry that is this very object is the one that failed
+            job = next(i for i, entry in enumerate(schedule, 1) if entry is machine)
+            raise InvalidMachineIndex(
+                f"job {job} assigned to machine {machine!r}, valid range is 1..{m}"
+            )
         out[machine - 1] += p
     return out
 

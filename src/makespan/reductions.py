@@ -29,6 +29,7 @@ from .model import (
     LengthMismatch,
     NotTwoMachines,
     SchedulingError,
+    _int_at_least,
     make_instance,
 )
 from .solver import DEFAULT_LEAF_BUDGET, BudgetExceeded
@@ -60,8 +61,7 @@ class PartitionInstance:
         if not self.weights:
             raise ZeroWeight("need at least one weight")
         for i, w in enumerate(self.weights, 1):
-            if isinstance(w, bool) or not isinstance(w, int) or w < 1:
-                raise ZeroWeight(f"weight {i} must be an integer >= 1, got {w!r}")
+            _int_at_least(w, 1, f"weight {i}", ZeroWeight)
 
     @property
     def total_weight(self) -> int:
@@ -81,18 +81,14 @@ class MumpspInstance:
             "user_job_lists",
             tuple(tuple(jobs) for jobs in self.user_job_lists),
         )
-        if self.machine_count < 2:
-            raise InvalidInstance(f"need at least 2 machines, got {self.machine_count}")
+        _int_at_least(self.machine_count, 2, "machine count")
         if not self.user_job_lists:
             raise InvalidInstance("need at least one user")
         for r, jobs in enumerate(self.user_job_lists, 1):
             if not jobs:
                 raise InvalidInstance(f"user {r} has no jobs")
             for i, p in enumerate(jobs, 1):
-                if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-                    raise InvalidInstance(
-                        f"processing time {i} of user {r} must be an integer >= 1, got {p!r}"
-                    )
+                _int_at_least(p, 1, f"processing time {i} of user {r}")
 
     @property
     def user_count(self) -> int:
@@ -159,8 +155,7 @@ def subset_sum_oracle(
     """
     ws = list(weights)
     for i, w in enumerate(ws, 1):
-        if isinstance(w, bool) or not isinstance(w, int) or w < 1:
-            raise ZeroWeight(f"weight {i} must be an integer >= 1, got {w!r}")
+        _int_at_least(w, 1, f"weight {i}", ZeroWeight)
     if target < 0:
         return False
     total = sum(ws)
@@ -216,9 +211,13 @@ def mumpsp_user_makespans(
     for row in schedule:
         clock = 0
         for entry in row:
-            user, index = entry
-            if (user, index) not in expected:
-                raise CoverageMismatch(f"unknown job (user {user}, index {index})")
+            try:
+                user, index = entry
+                known = (user, index) in expected
+            except (TypeError, ValueError):  # not a hashable (user, index) pair
+                known = False
+            if not known:
+                raise CoverageMismatch(f"unknown job {entry!r}, expected (user, index)")
             if (user, index) in seen:
                 raise CoverageMismatch(
                     f"job (user {user}, index {index}) appears more than once"

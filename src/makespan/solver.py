@@ -96,10 +96,6 @@ def _scan_subtree(
     return int(best_w), best_a
 
 
-def _scan_subtree_star(args: tuple[int, tuple[int, ...], tuple[int, ...]]):
-    return _scan_subtree(*args)
-
-
 def brute_force_opt(
     instance: Instance,
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
@@ -127,15 +123,12 @@ def brute_force_opt(
             depth += 1
         prefixes = list(itertools.product(range(1, m + 1), repeat=depth))
         with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
-            results = list(
-                pool.map(_scan_subtree_star, [(m, times, pre) for pre in prefixes])
+            results = pool.map(
+                _scan_subtree, itertools.repeat(m), itertools.repeat(times), prefixes
             )
-        # prefix blocks partition the leaf order, so the first block attaining
-        # the global minimum holds the lexicographically least argmin
-        best_w, best_a = results[0]
-        for w, a in results[1:]:
-            if w < best_w:
-                best_w, best_a = w, a
+            # prefix blocks partition the leaf order and min keeps the first
+            # minimum, so this is the lexicographically least argmin
+            best_w, best_a = min(results, key=lambda result: result[0])
     else:
         best_w, best_a = _scan_subtree(m, times, ())
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, Schedule
+from .model import Instance, InvalidMachineIndex, LengthMismatch, Schedule, loads
 from .solver import DEFAULT_LEAF_BUDGET, brute_force_opt
 
 ACCEPT = "accept"
@@ -89,21 +89,17 @@ def verify_certificate(
     (c) the claim is <= threshold.  Every failure is a verdict variant, never
     an exception.
 
-    The walk below carries only the load vector down the path, so the check
-    is O(n * m) time and O(m) extra space.
+    The walk is model.loads, which carries only the load vector down the
+    path, so the check is O(n * m) time and O(m) extra space.
     """
-    m = instance.machine_count
-    times = instance.processing_times
-    schedule = cert.schedule
-    if len(schedule) != instance.job_count:
+    try:
+        actual = max(loads(instance, cert.schedule))
+    except LengthMismatch:
         return Verdict.invalid_schedule(REASON_LENGTH_MISMATCH)
-    current = [0] * m
-    for level, machine in enumerate(schedule):
-        if not isinstance(machine, int) or isinstance(machine, bool) or not 1 <= machine <= m:
-            return Verdict.invalid_schedule(REASON_BAD_MACHINE_INDEX)
-        current[machine - 1] += times[level]
-    actual = max(current)
-    if cert.claimed_makespan != actual:
+    except InvalidMachineIndex:
+        return Verdict.invalid_schedule(REASON_BAD_MACHINE_INDEX)
+    # True == 1 and 3.0 == 3, but a leaf weight is always a plain int
+    if type(cert.claimed_makespan) is not int or cert.claimed_makespan != actual:
         return Verdict.wrong_makespan(cert.claimed_makespan, actual)
     if actual > threshold:
         return Verdict.above_threshold(actual, threshold)

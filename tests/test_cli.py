@@ -1,8 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from makespan import decide_partition, PartitionInstance
 from makespan.cli import main
@@ -287,3 +293,120 @@ class TestEntryPoint:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+
+class TestExitCodeBoundary:
+    """Exit 2 for every file the CLI cannot read, parse or write."""
+
+    @pytest.mark.parametrize(
+        "content,argv",
+        [
+            pytest.param(
+                b'{"machines": 2, "jobs": [1, 2\xff]}',
+                ["solve", "{file}", "--method", "bnb"],
+                id="non-utf8",
+            ),
+            pytest.param(
+                b'{"machines": 2, "jobs": [' + b"7" * 5000 + b"]}",
+                ["solve", "{file}", "--method", "bnb"],
+                id="5000-digit-job",
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter has no integer digit limit, so the file is valid",
+                ),
+            ),
+            pytest.param(
+                b"[" * 100_000 + b"]" * 100_000,
+                ["solve", "{file}", "--method", "bnb"],
+                id="100k-deep",
+            ),
+            pytest.param(
+                b'{"machines": 2, "jobs": [1, 1, 3]}',
+                ["decide", "{file}", "--threshold", "3", "--witness-out", "{dir}/missing/cert.json"],
+                id="witness-out-missing-dir",
+            ),
+        ],
+    )
+    def test_exits_2_without_traceback(self, capsys, tmp_path, content, argv):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        argv = [arg.format(file=path, dir=tmp_path) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert out == ""
+
+
+# Arbitrary bytes and arbitrary JSON, or objects shaped like instance and
+# certificate files so that the commands also get past the parser.  Integers
+# stay within 10**6, because every load vector has one entry per machine: a
+# machine count of 10**9 takes gigabytes, and 2**62 cannot be allocated at all
+# (see test_huge_machine_count below).
+def _encoded(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_garbage = st.binary(max_size=64) | _json.map(_encoded)
+_instance_file = st.one_of(
+    st.fixed_dictionaries(
+        {"machines": st.integers(2, 4), "jobs": st.lists(st.integers(1, 20), min_size=1, max_size=8)}
+    ).map(_encoded),
+    st.fixed_dictionaries(
+        {"machines": st.integers(-1, 4) | _json, "jobs": st.lists(st.integers(0, 20)) | _json}
+    ).map(_encoded),
+    _garbage,
+)
+_certificate_file = st.one_of(
+    st.fixed_dictionaries(
+        {"assignment": st.lists(st.integers(1, 4), min_size=1, max_size=8), "makespan": st.integers(1, 60)}
+    ).map(_encoded),
+    st.fixed_dictionaries(
+        {"assignment": st.lists(st.integers(-1, 5)) | _json, "makespan": st.integers(-1, 60) | _json}
+    ).map(_encoded),
+    _garbage,
+)
+
+
+class TestAnyFile:
+    @given(
+        instance=_instance_file,
+        certificate=_certificate_file,
+        command=st.sampled_from(["solve", "verify", "decide", "reduce-mumpsp", "dot"]),
+        threshold=st.integers(1, 40),
+        level=st.integers(0, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_in_contract(self, instance, certificate, command, threshold, level):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst, cert = Path(tmp) / "instance.json", Path(tmp) / "certificate.json"
+            inst.write_bytes(instance)
+            cert.write_bytes(certificate)
+            argv = {
+                "solve": ["solve", str(inst), "--method", "brute", "--leaf-budget", "4096"],
+                "verify": ["verify", str(inst), str(cert), "--threshold", str(threshold)],
+                "decide": [
+                    "decide", str(inst), "--threshold", str(threshold),
+                    "--leaf-budget", "4096", "--witness-out", str(cert),
+                ],
+                "reduce-mumpsp": ["reduce-mumpsp", str(inst)],
+                "dot": ["dot", str(inst), "--max-level", str(level)],
+            }[command]
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 1, 2, 3)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=(MemoryError, OverflowError),
+        reason="the load vector has one entry per machine, and no machine count is refused",
+    )
+    def test_huge_machine_count(self, capsys, tmp_path):
+        path = tmp_path / "huge-m.json"
+        path.write_text(dump_json({"machines": 2**62, "jobs": [1]}))
+        assert run(capsys, "solve", str(path), "--method", "bnb")[0] in (2, 3)

@@ -93,6 +93,10 @@ class TestLoads:
             loads(demo_instance, (1, 3, 1))
         with pytest.raises(InvalidMachineIndex):
             loads(demo_instance, (1, 0, 1))
+        with pytest.raises(InvalidMachineIndex, match="job 2 assigned to machine True"):
+            loads(demo_instance, (1, True, 1))
+        with pytest.raises(InvalidMachineIndex, match="job 3 assigned to machine '1'"):
+            loads(demo_instance, (1, 1, "1"))
 
 
 class TestMakespan:

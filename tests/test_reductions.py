@@ -182,6 +182,8 @@ class TestMumpspModel:
             MumpspInstance(2, ((1,), ()))
         with pytest.raises(InvalidInstance):
             MumpspInstance(2, ((1, 0),))
+        with pytest.raises(InvalidInstance):
+            MumpspInstance("3", ((1,),))
 
 
 class TestUserMakespans:
@@ -214,6 +216,12 @@ class TestUserMakespans:
         instance = MumpspInstance(2, ((1, 2),))
         with pytest.raises(CoverageMismatch):
             mumpsp_user_makespans(instance, (((1, 1), (1, 2)), ((2, 1),)))
+
+    @pytest.mark.parametrize("entry", [(1,), 5, (1, 2, 3), ([1], 2)])
+    def test_malformed_entry(self, entry):
+        instance = MumpspInstance(2, ((1, 2),))
+        with pytest.raises(CoverageMismatch):
+            mumpsp_user_makespans(instance, (((1, 1), entry), ()))
 
     def test_wrong_machine_rows(self):
         instance = MumpspInstance(2, ((1, 2),))

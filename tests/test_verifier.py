@@ -60,6 +60,11 @@ class TestVerifyCertificate:
     def test_never_raises_on_garbage_claims(self, demo_instance):
         assert not verify_certificate(demo_instance, Certificate((1, 1, 2), -7), 3).accepted
         assert not verify_certificate(demo_instance, Certificate((1, 1, 2), 0), 3).accepted
+        # the makespan here is 1, and True == 1 == 1.0, yet neither is a makespan
+        single = make_instance(2, [1])
+        for claim in (True, 1.0):
+            verdict = verify_certificate(single, Certificate((1,), claim), 3)
+            assert (verdict.code, verdict.actual) == (REJECT_WRONG_MAKESPAN, 1)
 
 
 class TestDecide:
