@@ -34,6 +34,14 @@ def _at_least(low: int):
     return integer
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on, which a cgroup or taskset can limit."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="makespan",
@@ -60,9 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_at_least(1),
         default=None,
-        help="worker processes for the brute-force scan (default: machine parallelism)",
+        help="worker processes for the brute-force scan (default: usable CPUs)",
     )
-    p.add_argument("--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET)
+    p.add_argument(
+        "--leaf-budget",
+        type=_at_least(1),
+        default=solver.DEFAULT_LEAF_BUDGET,
+        help="most leaves the brute-force scan may price, or nodes bnb may generate",
+    )
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a certificate against a threshold")
@@ -127,12 +140,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance_file)
     if args.method == "brute":
-        workers = args.threads if args.threads else os.cpu_count() or 1
         result = solver.brute_force_opt(
-            instance, leaf_budget=args.leaf_budget, workers=workers
+            instance, leaf_budget=args.leaf_budget, workers=args.threads or _cpu_count()
         )
     else:
-        result = solver.branch_and_bound(instance)
+        result = solver.branch_and_bound(instance, node_budget=args.leaf_budget)
     print(
         files.dump_json(
             {

@@ -12,6 +12,7 @@ every parse failure names the offending field:
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -48,10 +49,23 @@ def _int_list(value: Any, where: str) -> list[int]:
     return [_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+def _printable_total(values: list[int], what: str) -> None:
+    """Refuse numbers whose total has more digits than the interpreter's
+    int-to-str limit allows.  Every load, optimum or threshold the package
+    prints is at most that total, so all of them stay printable."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    total = sum(values)
+    # 2**(3 * limit) < 10**limit, so the bit test spares the power on every
+    # file short of the limit
+    if limit and total.bit_length() > 3 * limit and total >= 10**limit:
+        raise FileFormatError(f"{what}: total has more than {limit} digits")
+
+
 def parse_instance(data: Any) -> Instance:
     obj = _object(data, "instance file", {"machines", "jobs"})
     machines = _int(obj["machines"], "machines")
     jobs = _int_list(obj["jobs"], "jobs")
+    _printable_total(jobs, "jobs")
     try:
         return make_instance(machines, jobs)
     except InvalidInstance as exc:
@@ -61,6 +75,7 @@ def parse_instance(data: Any) -> Instance:
 def parse_partition(data: Any) -> PartitionInstance:
     obj = _object(data, "partition file", {"weights"})
     weights = _int_list(obj["weights"], "weights")
+    _printable_total(weights, "weights")
     try:
         return PartitionInstance(tuple(weights))
     except ZeroWeight as exc:

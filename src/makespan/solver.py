@@ -1,9 +1,11 @@
 """Exact makespan solvers over the assignment tree.
 
 ``brute_force_opt`` prices every one of the m^n leaves and returns the
-lexicographically least optimal schedule.  ``branch_and_bound`` prunes
-subtrees with simple lower bounds but is guaranteed to return the identical
-optimum value.  ``magic_schedule`` is the two-machine balanced-split
+lexicographically least optimal schedule.  ``_search`` is the one pruned
+search: identical-machine symmetry breaking, an LPT incumbent and a stop at
+the lower bound.  ``branch_and_bound`` and the verifier's ``prove`` and
+``decide`` run it, and it returns the same optimum as the full scan.
+``magic_schedule`` is the two-machine balanced-split
 procedure: it succeeds only when a schedule's makespan equals the ideal
 half-total exactly, with the nondeterministic choice of partition supplied as
 an explicit, testable strategy (exhaustive search, a fixed certificate, or
@@ -12,10 +14,11 @@ random sampling).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from .model import (
@@ -41,7 +44,8 @@ class SolveResult:
     """Outcome of an exact solve.
 
     leaves_explored counts priced leaves; nodes_pruned counts subtrees cut
-    before expansion (always 0 for the full scan).
+    before expansion, including machines skipped because an earlier machine
+    has the same load (always 0 for the full scan).
     """
 
     best_schedule: Schedule
@@ -96,6 +100,16 @@ def _scan_subtree(
     return int(best_w), best_a
 
 
+def _check_leaf_budget(m: int, n: int, leaf_budget: int) -> int:
+    """The tree's leaf count m^n; BudgetExceeded when it passes leaf_budget."""
+    total_leaves = m**n
+    if total_leaves > leaf_budget:
+        raise BudgetExceeded(
+            f"{m}^{n} = {total_leaves} leaves exceed the budget of {leaf_budget}"
+        )
+    return total_leaves
+
+
 def brute_force_opt(
     instance: Instance,
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
@@ -111,11 +125,7 @@ def brute_force_opt(
     m = instance.machine_count
     times = instance.processing_times
     n = len(times)
-    total_leaves = m**n
-    if total_leaves > leaf_budget:
-        raise BudgetExceeded(
-            f"{m}^{n} = {total_leaves} leaves exceed the budget of {leaf_budget}"
-        )
+    total_leaves = _check_leaf_budget(m, n, leaf_budget)
 
     if workers > 1 and total_leaves >= _PARALLEL_MIN_LEAVES and n > 2:
         depth = 1
@@ -140,15 +150,99 @@ def brute_force_opt(
     )
 
 
-def branch_and_bound(instance: Instance, lpt_order: bool = False) -> SolveResult:
-    """Exact optimum by depth-first search with lower-bound pruning.
+def _lpt_makespan(m: int, times: Iterable[int]) -> int:
+    """Makespan of the LPT schedule (Graham 1969): jobs longest first, each
+    on a least-loaded machine.  An upper bound on the optimum."""
+    heap = [0] * m
+    for p in sorted(times, reverse=True):
+        heapq.heapreplace(heap, heap[0] + p)
+    return max(heap)
 
-    The optimum always equals brute_force_opt's; the returned schedule may be
-    a different optimal one.  A subtree is cut when
-    max(largest load so far, ceil(total/m), largest remaining time) already
-    matches the incumbent.  The incumbent is the first leaf reached
-    depth-first (machine 1 branch first); with lpt_order=True jobs are
-    considered longest-first, which usually tightens it much sooner.
+
+def _search(
+    m: int, times: tuple[int, ...], limit: int, node_budget: int | None = None
+) -> SolveResult:
+    """The pruned depth-first search over the assignment tree.
+
+    Returns the lexicographically least schedule of least makespan below
+    `limit`, or best_schedule () and optimum `limit` when no schedule is
+    below it.  Machines are tried in index order, and of several machines
+    with equal current load only the first: relabelling the others gives a
+    lexicographically larger schedule of the same makespan.  A child is cut
+    when its largest load reaches the incumbent; the other lower bounds,
+    ceil(total/m) and the largest remaining job, never exceed `target`, so
+    they are below the incumbent for as long as the search runs.  The search
+    stops as soon as the incumbent reaches `target`, which no schedule beats.
+
+    Raises BudgetExceeded once more than `node_budget` nodes are generated
+    (all m children of each expanded node count).
+    """
+    n = len(times)
+    target = max(-(-sum(times) // m), max(times))
+    if limit <= target:
+        return SolveResult((), limit, 0, 0)
+    current = [0] * m
+    assign = [0] * n
+    best = limit
+    best_a: Schedule = ()
+    leaves = pruned = generated = 0
+    last = n - 1
+    machines = range(m)
+
+    def visit(level: int, high: int) -> bool:
+        """Expand the node at `level` whose largest load is `high`; True once
+        the incumbent is optimal."""
+        nonlocal best, best_a, leaves, pruned, generated
+        generated += m
+        if node_budget is not None and generated > node_budget:
+            raise BudgetExceeded(f"the search generated more than {node_budget} nodes")
+        p = times[level]
+        seen = set()
+        for j in machines:
+            load = current[j]
+            if load in seen:
+                pruned += 1
+                continue
+            seen.add(load)
+            load += p
+            top = load if load > high else high
+            if top >= best:
+                pruned += 1
+                continue
+            assign[level] = j + 1
+            if level == last:
+                # every leaf reached is an improvement, and DFS order makes
+                # the first one of each value the lexicographically least
+                leaves += 1
+                best = top
+                best_a = tuple(assign)
+                if best <= target:
+                    return True
+                continue
+            current[j] = load
+            done = visit(level + 1, top)
+            current[j] = load - p
+            if done:
+                return True
+        return False
+
+    visit(0, 0)
+    return SolveResult(best_a, best, leaves, pruned)
+
+
+def branch_and_bound(
+    instance: Instance,
+    lpt_order: bool = False,
+    node_budget: int = DEFAULT_LEAF_BUDGET,
+) -> SolveResult:
+    """Exact optimum by the pruned search, seeded with the LPT makespan.
+
+    The optimum always equals brute_force_opt's; the schedule is the
+    lexicographically least optimal one in search order.  With
+    lpt_order=True jobs are considered longest-first, which usually finds
+    good schedules much sooner; the schedule is then least in that order.
+    Raises BudgetExceeded once the search generates more than `node_budget`
+    nodes.
     """
     m = instance.machine_count
     n = instance.job_count
@@ -158,56 +252,12 @@ def branch_and_bound(instance: Instance, lpt_order: bool = False) -> SolveResult
         order = list(range(n))
     times = tuple(instance.processing_times[i] for i in order)
 
-    total = instance.total_work
-    base_lb = -(-total // m)
-    suffix_max = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_max[i] = max(times[i], suffix_max[i + 1])
-
-    current = [0] * m
-    assign = [0] * n
-    best_w: float = float("inf")
-    best_a: tuple[int, ...] = ()
-    leaves_explored = 0
-    nodes_pruned = 0
-    machines = range(m)
-
-    def visit(level: int) -> None:
-        nonlocal best_w, best_a, leaves_explored, nodes_pruned
-        if level == n:
-            leaves_explored += 1
-            w = max(current)
-            if w < best_w:
-                best_w = w
-                best_a = tuple(assign)
-            return
-        p = times[level]
-        tail_max = suffix_max[level + 1]
-        for j in machines:
-            current[j] += p
-            bound = max(current)
-            if bound < base_lb:
-                bound = base_lb
-            if bound < tail_max:
-                bound = tail_max
-            if bound >= best_w:
-                nodes_pruned += 1
-            else:
-                assign[level] = j + 1
-                visit(level + 1)
-            current[j] -= p
-
-    visit(0)
-
+    # +1: the search may return a schedule as long as the LPT one
+    result = _search(m, times, _lpt_makespan(m, times) + 1, node_budget)
     schedule = [0] * n
     for pos, job in enumerate(order):
-        schedule[job] = best_a[pos]
-    return SolveResult(
-        best_schedule=tuple(schedule),
-        optimum=int(best_w),
-        leaves_explored=leaves_explored,
-        nodes_pruned=nodes_pruned,
-    )
+        schedule[job] = result.best_schedule[pos]
+    return replace(result, best_schedule=tuple(schedule))
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,8 +9,8 @@ of the m^n solution space.
 
 Thresholds are integers (every achievable makespan is one); callers holding
 the fractional ideal bound should pass its ceiling.  ``decide`` answers the
-threshold decision question exactly by solving, and ``prove`` plays the
-prover role by emitting the optimal certificate.
+threshold decision question exactly by the pruned search, and ``prove`` plays
+the prover role by emitting the optimal certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Instance, InvalidMachineIndex, LengthMismatch, Schedule, loads
-from .solver import DEFAULT_LEAF_BUDGET, brute_force_opt
+from .solver import (
+    DEFAULT_LEAF_BUDGET,
+    SolveResult,
+    _check_leaf_budget,
+    _lpt_makespan,
+    _search,
+    brute_force_opt,  # noqa: F401  bench/spans.py wraps verifier.brute_force_opt
+)
 
 ACCEPT = "accept"
 REJECT_INVALID_SCHEDULE = "reject_invalid_schedule"
@@ -106,15 +113,28 @@ def verify_certificate(
     return Verdict.accept()
 
 
+def _least_schedule(
+    instance: Instance, threshold: int, leaf_budget: int
+) -> SolveResult:
+    """The pruned search over the jobs in file order: the lexicographically
+    least optimal schedule when the optimum is at most `threshold`, else
+    best_schedule ().  Raises BudgetExceeded before any work when
+    m^n > leaf_budget."""
+    m, times = instance.machine_count, instance.processing_times
+    _check_leaf_budget(m, len(times), leaf_budget)
+    return _search(m, times, min(_lpt_makespan(m, times), threshold) + 1)
+
+
 def prove(
     instance: Instance, leaf_budget: int = DEFAULT_LEAF_BUDGET
 ) -> Certificate:
-    """Prover role: the optimal certificate, from the exhaustive solver.
+    """Prover role: the optimal certificate, lexicographically least.
 
     Always passes verify_certificate with threshold equal to its own claim.
-    Propagates BudgetExceeded for instances beyond the solver budget.
+    Propagates BudgetExceeded for instances beyond the leaf budget.
     """
-    result = brute_force_opt(instance, leaf_budget=leaf_budget)
+    # the total work bounds every makespan, so this threshold cuts nothing
+    result = _least_schedule(instance, instance.total_work, leaf_budget)
     return Certificate(result.best_schedule, result.optimum)
 
 
@@ -127,7 +147,7 @@ def decide(
     optimal certificate, so it passes verify_certificate at the same
     threshold.  Monotone in the threshold.  Propagates BudgetExceeded.
     """
-    result = brute_force_opt(instance, leaf_budget=leaf_budget)
-    if result.optimum <= threshold:
-        return True, Certificate(result.best_schedule, result.optimum)
-    return False, None
+    result = _least_schedule(instance, threshold, leaf_budget)
+    if not result.best_schedule:
+        return False, None
+    return True, Certificate(result.best_schedule, result.optimum)

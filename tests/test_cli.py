@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from makespan import decide_partition, PartitionInstance
+from makespan import cli
 from makespan.cli import main
 from makespan.files import (
     FileFormatError,
@@ -174,6 +176,22 @@ class TestSolve:
         assert code == 3
         assert "error" in err
 
+    def test_bnb_node_budget_exit(self, capsys, tmp_path):
+        # nine jobs on three machines: reaching the first leaf alone expands
+        # nine nodes and generates 27 children
+        path = tmp_path / "nine.json"
+        path.write_text(dump_json({"machines": 3, "jobs": [10, 11, 12, 13, 14, 15, 16, 17, 19]}))
+        code, out, err = run(capsys, "solve", str(path), "--method", "bnb", "--leaf-budget", "20")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+        assert run(capsys, "solve", str(path), "--method", "bnb")[0] == 0
+
+    def test_threads_default_is_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._cpu_count() == (os.cpu_count() or 1)
+
     def test_parse_error_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -295,6 +313,13 @@ class TestEntryPoint:
         assert run(capsys, "frobnicate")[0] == 2
 
 
+_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter has no integer digit limit, so the file is valid",
+)
+_jobs_4300 = b",".join([b"9" * 4300] * 3)
+
+
 class TestExitCodeBoundary:
     """Exit 2 for every file the CLI cannot read, parse or write."""
 
@@ -310,10 +335,20 @@ class TestExitCodeBoundary:
                 b'{"machines": 2, "jobs": [' + b"7" * 5000 + b"]}",
                 ["solve", "{file}", "--method", "bnb"],
                 id="5000-digit-job",
-                marks=pytest.mark.skipif(
-                    not hasattr(sys, "get_int_max_str_digits"),
-                    reason="this interpreter has no integer digit limit, so the file is valid",
-                ),
+                marks=_digit_limit,
+            ),
+            # each job parses, but the optimum would have 4301 digits
+            pytest.param(
+                b'{"machines": 2, "jobs": [' + _jobs_4300 + b"]}",
+                ["solve", "{file}", "--method", "bnb"],
+                id="4301-digit-total",
+                marks=_digit_limit,
+            ),
+            pytest.param(
+                b'{"weights": [' + _jobs_4300 + b"]}",
+                ["reduce-partition", "{file}"],
+                id="4301-digit-weight-total",
+                marks=_digit_limit,
             ),
             pytest.param(
                 b"[" * 100_000 + b"]" * 100_000,
@@ -377,7 +412,7 @@ class TestAnyFile:
     @given(
         instance=_instance_file,
         certificate=_certificate_file,
-        command=st.sampled_from(["solve", "verify", "decide", "reduce-mumpsp", "dot"]),
+        command=st.sampled_from(["solve", "solve-bnb", "verify", "decide", "reduce-mumpsp", "dot"]),
         threshold=st.integers(1, 40),
         level=st.integers(0, 4),
     )
@@ -389,6 +424,7 @@ class TestAnyFile:
             cert.write_bytes(certificate)
             argv = {
                 "solve": ["solve", str(inst), "--method", "brute", "--leaf-budget", "4096"],
+                "solve-bnb": ["solve", str(inst), "--method", "bnb", "--leaf-budget", "4096"],
                 "verify": ["verify", str(inst), str(cert), "--threshold", str(threshold)],
                 "decide": [
                     "decide", str(inst), "--threshold", str(threshold),

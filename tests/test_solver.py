@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from makespan import (
     BudgetExceeded,
+    Certificate,
     NotTwoMachines,
+    SolveResult,
     branch_and_bound,
     brute_force_opt,
     certificate_strategy,
+    decide,
     exhaustive_strategy,
     loads,
     magic_schedule,
     make_instance,
     makespan,
+    prove,
     random_strategy,
 )
 from makespan import solver as solver_module
@@ -135,6 +139,51 @@ class TestBranchAndBound:
     def test_agrees_with_brute_force(self, m, times):
         instance = make_instance(m, times)
         assert branch_and_bound(instance).optimum == brute_force_opt(instance).optimum
+
+    def test_stops_at_the_lower_bound(self):
+        # LPT already reaches ceil(16/4); the first leaf the search meets is
+        # optimal, and the search ends there
+        result = branch_and_bound(make_instance(4, [1] * 16))
+        assert result.optimum == 4
+        assert result.leaves_explored == 1
+
+    def test_equal_loads_tried_once(self):
+        # the optimum 6 is above ceil(12/3), so the search runs to the end;
+        # of its 12 cuts, 7 skip a machine whose load equals an earlier
+        # machine's and 5 are load bounds against the incumbent
+        result = branch_and_bound(make_instance(3, [3, 3, 3, 3]))
+        assert result == SolveResult((1, 1, 2, 2), 6, 1, 7 + 5)
+
+    def test_node_budget(self):
+        # reaching the first leaf alone generates 9 * 3 children
+        instance = make_instance(3, [10, 11, 12, 13, 14, 15, 16, 17, 19])
+        assert branch_and_bound(instance, node_budget=10**6).optimum == 43
+        with pytest.raises(BudgetExceeded):
+            branch_and_bound(instance, node_budget=20)
+
+
+class TestSearchWitnesses:
+    """prove and decide run the pruned search, yet certify exactly what the
+    full scan finds: the lexicographically least optimal schedule."""
+
+    @given(
+        st.integers(2, 4),
+        st.one_of(
+            st.lists(st.integers(1, 6), min_size=1, max_size=8),
+            st.lists(st.integers(10**5, 10**6), min_size=1, max_size=8),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_certificate_as_the_full_scan(self, m, times):
+        instance = make_instance(m, times)
+        full = brute_force_opt(instance)
+        expected = Certificate(full.best_schedule, full.optimum)
+        assert prove(instance) == expected
+        for threshold in range(full.optimum - 2, full.optimum + 3):
+            if threshold >= full.optimum:
+                assert decide(instance, threshold) == (True, expected)
+            else:
+                assert decide(instance, threshold) == (False, None)
 
 
 class TestMagicSchedule:
