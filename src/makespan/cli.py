@@ -15,6 +15,7 @@ import sys
 
 from . import files, reductions, solver, tree, verifier
 from .files import FileFormatError
+from .model import BudgetExceeded, DomainError
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -122,9 +123,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
+    # m**n is refused before it is taken, then the node count, the largest
+    # number printed
+    files._check_printable(m, f"{m}^{n}", n, DomainError)
+    nodes = tree.count_nodes(m, n)
+    files._check_printable(nodes, "the node count", error=DomainError)
     formula = tree.count_essential_formula(m, n)
     exact = tree.count_essential_exact(m, n)
-    print(f"nodes={tree.count_nodes(m, n)}")
+    print(f"nodes={nodes}")
     print(f"schedules={tree.count_schedules(m, n)}")
     print(f"partial={tree.count_partial(m, n)}")
     print(f"essential_formula={formula}")
@@ -217,10 +223,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (FileFormatError, tree.DomainError) as exc:
+    except (FileFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (solver.BudgetExceeded, tree.TooLarge) as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

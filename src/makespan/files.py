@@ -17,8 +17,12 @@ from pathlib import Path
 from typing import Any
 
 from .model import Instance, InvalidInstance, SchedulingError, make_instance
-from .reductions import MumpspInstance, PartitionInstance, ZeroWeight
+from .reductions import MumpspInstance, PartitionInstance
 from .verifier import Certificate
+
+# Every load vector has one entry per machine, so a file may name at most
+# this many machines: 8 MiB of pointers per vector.
+MAX_MACHINES = 1 << 20
 
 
 class FileFormatError(SchedulingError):
@@ -49,23 +53,39 @@ def _int_list(value: Any, where: str) -> list[int]:
     return [_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _printable_total(values: list[int], what: str) -> None:
-    """Refuse numbers whose total has more digits than the interpreter's
+def _machine_count(value: Any) -> int:
+    machines = _int(value, "machines")
+    if machines > MAX_MACHINES:
+        raise FileFormatError(f"machines: at most {MAX_MACHINES}, got {machines}")
+    return machines
+
+
+def _check_printable(
+    base: int,
+    what: str,
+    exponent: int = 1,
+    error: type[SchedulingError] = FileFormatError,
+) -> None:
+    """Refuse base**exponent when it has more digits than the interpreter's
     int-to-str limit allows.  Every load, optimum or threshold the package
-    prints is at most that total, so all of them stay printable."""
+    prints is at most a file's total, so checking the total keeps all of them
+    printable."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    total = sum(values)
-    # 2**(3 * limit) < 10**limit, so the bit test spares the power on every
-    # file short of the limit
-    if limit and total.bit_length() > 3 * limit and total >= 10**limit:
-        raise FileFormatError(f"{what}: total has more than {limit} digits")
+    bits = base.bit_length()
+    # base**exponent has at most exponent * bits bits and more than
+    # exponent * (bits - 1), and 2**(3 * limit) < 10**limit < 2**(4 * limit):
+    # the power is taken only when its bit count leaves the answer open
+    if limit and exponent * bits > 3 * limit and (
+        exponent * (bits - 1) >= 4 * limit or base**exponent >= 10**limit
+    ):
+        raise error(f"{what} has more than {limit} digits")
 
 
 def parse_instance(data: Any) -> Instance:
     obj = _object(data, "instance file", {"machines", "jobs"})
-    machines = _int(obj["machines"], "machines")
+    machines = _machine_count(obj["machines"])
     jobs = _int_list(obj["jobs"], "jobs")
-    _printable_total(jobs, "jobs")
+    _check_printable(sum(jobs), "jobs: total")
     try:
         return make_instance(machines, jobs)
     except InvalidInstance as exc:
@@ -75,16 +95,16 @@ def parse_instance(data: Any) -> Instance:
 def parse_partition(data: Any) -> PartitionInstance:
     obj = _object(data, "partition file", {"weights"})
     weights = _int_list(obj["weights"], "weights")
-    _printable_total(weights, "weights")
+    _check_printable(sum(weights), "weights: total")
     try:
         return PartitionInstance(tuple(weights))
-    except ZeroWeight as exc:
+    except InvalidInstance as exc:
         raise FileFormatError(f"partition file: {exc}") from exc
 
 
 def parse_mumpsp(data: Any) -> MumpspInstance:
     obj = _object(data, "multi-user file", {"machines", "users"})
-    machines = _int(obj["machines"], "machines")
+    machines = _machine_count(obj["machines"])
     users = obj["users"]
     if not isinstance(users, list):
         raise FileFormatError("users: expected a list of job lists")

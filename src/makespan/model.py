@@ -25,11 +25,13 @@ class SchedulingError(Exception):
 
 
 class InvalidInstance(SchedulingError):
-    """Instance parameters violate the model (m < 2, no jobs, or p < 1)."""
+    """Instance parameters violate the model (m < 2, no jobs, or p < 1), or
+    an operation defined for two machines got another count."""
 
 
 class InvalidSchedule(SchedulingError):
-    """Per-machine job sets are not a disjoint cover of the job list."""
+    """Per-machine job sets or job sequences do not run each job exactly
+    once."""
 
 
 class LengthMismatch(SchedulingError):
@@ -40,8 +42,14 @@ class InvalidMachineIndex(SchedulingError):
     """An assignment entry is not an int in 1..machine_count."""
 
 
-class NotTwoMachines(SchedulingError):
-    """Operation is defined for exactly two machines."""
+class DomainError(SchedulingError):
+    """An argument outside a function's domain: counting arguments outside
+    m >= 2, n >= 1 (or h >= 0), a level outside the tree, or the children of
+    a leaf."""
+
+
+class BudgetExceeded(SchedulingError):
+    """The requested exploration would exceed the configured budget."""
 
 
 def _int_at_least(
@@ -93,12 +101,6 @@ def make_instance(machine_count: int, processing_times: Iterable[int]) -> Instan
     return Instance(machine_count, tuple(processing_times))
 
 
-def check_assignment(instance: Instance, assignment: Sequence[int]) -> None:
-    """Raise LengthMismatch / InvalidMachineIndex unless `assignment` is a
-    complete schedule for `instance`."""
-    loads(instance, assignment)
-
-
 def loads(instance: Instance, schedule: Sequence[int]) -> list[int]:
     """Per-machine load vector: entry j-1 sums the times of jobs on machine j.
 
@@ -132,7 +134,7 @@ def makespan(instance: Instance, schedule: Sequence[int]) -> int:
 
 def is_essential(instance: Instance, schedule: Sequence[int]) -> bool:
     """True when every machine runs at least one job."""
-    check_assignment(instance, schedule)
+    loads(instance, schedule)  # raises unless the schedule is valid
     return len(set(schedule)) == instance.machine_count
 
 
@@ -151,7 +153,7 @@ def job_sets(instance: Instance, schedule: Sequence[int]) -> list[set[int]]:
 
     Derived from the assignment on demand, never stored.
     """
-    check_assignment(instance, schedule)
+    loads(instance, schedule)  # raises unless the schedule is valid
     sets: list[set[int]] = [set() for _ in range(instance.machine_count)]
     for job, machine in enumerate(schedule, 1):
         sets[machine - 1].add(job)

@@ -24,30 +24,23 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .model import (
+    BudgetExceeded,
     Instance,
     InvalidInstance,
+    InvalidMachineIndex,
+    InvalidSchedule,
     LengthMismatch,
-    NotTwoMachines,
-    SchedulingError,
     _int_at_least,
     make_instance,
 )
 from . import solver
-from .solver import DEFAULT_LEAF_BUDGET, BudgetExceeded
+from .solver import DEFAULT_LEAF_BUDGET
 from .verifier import decide  # noqa: F401  bench/spans.py wraps reductions.decide
 
 DEFAULT_SUM_BUDGET = 1 << 24
 
 # Per-machine job sequences; each entry is a (user, index) pair, both 1-based.
 OrderedSchedule = tuple[tuple[tuple[int, int], ...], ...]
-
-
-class ZeroWeight(SchedulingError):
-    """A partition weight below 1 cannot map to a processing time."""
-
-
-class CoverageMismatch(SchedulingError):
-    """An ordered schedule does not run each job exactly once."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,9 +53,9 @@ class PartitionInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights:
-            raise ZeroWeight("need at least one weight")
+            raise InvalidInstance("need at least one weight")
         for i, w in enumerate(self.weights, 1):
-            _int_at_least(w, 1, f"weight {i}", ZeroWeight)
+            _int_at_least(w, 1, f"weight {i}")
 
     @property
     def total_weight(self) -> int:
@@ -130,8 +123,8 @@ def decide_partition(
 
 def schedule_to_partition(schedule: Sequence[int]) -> tuple[set[int], set[int]]:
     """Read a two-machine schedule as (jobs on machine 1, jobs on machine 2),
-    as sets of 1-based indices.  Raises NotTwoMachines on any other machine
-    index."""
+    as sets of 1-based indices.  Raises InvalidMachineIndex on any other
+    machine index."""
     first: set[int] = set()
     second: set[int] = set()
     for job, machine in enumerate(schedule, 1):
@@ -140,7 +133,7 @@ def schedule_to_partition(schedule: Sequence[int]) -> tuple[set[int], set[int]]:
         elif machine == 2:
             second.add(job)
         else:
-            raise NotTwoMachines(
+            raise InvalidMachineIndex(
                 f"job {job} assigned to machine {machine}; expected 1 or 2"
             )
     return first, second
@@ -158,7 +151,7 @@ def subset_sum_oracle(
     """
     ws = list(weights)
     for i, w in enumerate(ws, 1):
-        _int_at_least(w, 1, f"weight {i}", ZeroWeight)
+        _int_at_least(w, 1, f"weight {i}")
     if target < 0:
         return False
     total = sum(ws)
@@ -196,7 +189,7 @@ def mumpsp_user_makespans(
     Each machine runs its sequence back to back from time 0; a job's
     completion time is the sum of its own and all earlier times on its
     machine, and a user's makespan is the latest completion among their jobs.
-    Raises CoverageMismatch when any job is missing, duplicated, or unknown,
+    Raises InvalidSchedule when any job is missing, duplicated, or unknown,
     and LengthMismatch when the machine rows do not match the instance.
     """
     if len(schedule) != instance.machine_count:
@@ -220,9 +213,9 @@ def mumpsp_user_makespans(
             except (TypeError, ValueError):  # not a hashable (user, index) pair
                 known = False
             if not known:
-                raise CoverageMismatch(f"unknown job {entry!r}, expected (user, index)")
+                raise InvalidSchedule(f"unknown job {entry!r}, expected (user, index)")
             if (user, index) in seen:
-                raise CoverageMismatch(
+                raise InvalidSchedule(
                     f"job (user {user}, index {index}) appears more than once"
                 )
             seen.add((user, index))
@@ -231,7 +224,7 @@ def mumpsp_user_makespans(
                 result[user - 1] = clock
     if seen != expected:
         missing = sorted(expected - seen)
-        raise CoverageMismatch(
+        raise InvalidSchedule(
             f"{len(missing)} job(s) never scheduled, first: "
             f"(user {missing[0][0]}, index {missing[0][1]})"
         )

@@ -17,15 +17,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from .model import (
+    BudgetExceeded,
     Instance,
-    NotTwoMachines,
+    InvalidInstance,
     Schedule,
-    SchedulingError,
     loads,
 )
 
@@ -33,10 +32,6 @@ DEFAULT_LEAF_BUDGET = 1 << 26
 
 # Fan-out across processes only pays off once a scan is this large.
 _PARALLEL_MIN_LEAVES = 1 << 18
-
-
-class BudgetExceeded(SchedulingError):
-    """The requested exploration would exceed the configured budget."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +52,8 @@ class SolveResult:
 def _scan_subtree(
     m: int, times: tuple[int, ...], prefix: tuple[int, ...]
 ) -> tuple[int, Schedule]:
-    """Depth-first scan of every leaf below `prefix`.
+    """Depth-first scan of every leaf below `prefix`, which is shorter than
+    the job list.
 
     Returns (minimum leaf weight, lexicographically least argmin schedule).
     Memory stays O(n * m): one mutable path, no tree materialization.
@@ -66,9 +62,6 @@ def _scan_subtree(
     current = [0] * m
     for level, machine in enumerate(prefix):
         current[machine - 1] += times[level]
-    if len(prefix) == n:
-        return max(current), tuple(prefix)
-
     assign = list(prefix) + [0] * (n - len(prefix))
     best_w: float = float("inf")
     best_a: Schedule = ()
@@ -132,6 +125,9 @@ def brute_force_opt(
         while m**depth < workers and depth < n - 1:
             depth += 1
         prefixes = list(itertools.product(range(1, m + 1), repeat=depth))
+        # imported here, so that every other command starts without it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
             results = pool.map(
                 _scan_subtree, itertools.repeat(m), itertools.repeat(times), prefixes
@@ -283,7 +279,7 @@ def exhaustive_strategy(instance: Instance) -> Iterator[Schedule]:
     Yields nothing when the total is odd.
     """
     if instance.machine_count != 2:
-        raise NotTwoMachines(
+        raise InvalidInstance(
             f"balanced-split search needs 2 machines, got {instance.machine_count}"
         )
     total = instance.total_work
@@ -339,11 +335,11 @@ def magic_schedule(
 
     Succeeds on the first candidate whose makespan equals half the total work
     exactly (impossible for odd totals), returning that schedule; fails when
-    the strategy's candidates are exhausted.  Raises NotTwoMachines for
+    the strategy's candidates are exhausted.  Raises InvalidInstance for
     instances with m != 2.
     """
     if instance.machine_count != 2:
-        raise NotTwoMachines(
+        raise InvalidInstance(
             f"magic_schedule needs 2 machines, got {instance.machine_count}"
         )
     total = instance.total_work

@@ -28,25 +28,15 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .model import (
+    BudgetExceeded,
+    DomainError,
     Instance,
     Schedule,
-    SchedulingError,
-    check_assignment,
+    _int_at_least,
+    loads,
 )
 
 DEFAULT_NODE_CAP = 4096
-
-
-class LeafHasNoChildren(SchedulingError):
-    """children() was called on a node at the leaf level."""
-
-
-class DomainError(SchedulingError):
-    """Counting arguments outside m >= 2, n >= 1 (or h >= 0)."""
-
-
-class TooLarge(SchedulingError):
-    """Requested rendering would exceed the configured node cap."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,10 +66,10 @@ def children(instance: Instance, node: TreeNode) -> list[TreeNode]:
     """The m one-job extensions of `node`, ordered machine 1 first.
 
     Child j assigns the next job to machine j and adds its processing time to
-    that machine's load.  Raises LeafHasNoChildren at the leaf level.
+    that machine's load.  Raises DomainError at the leaf level.
     """
     if node.level >= instance.job_count:
-        raise LeafHasNoChildren(f"node at level {node.level} is a leaf")
+        raise DomainError(f"node at level {node.level} is a leaf")
     p = instance.processing_times[node.level]
     out = []
     for j in range(instance.machine_count):
@@ -112,7 +102,7 @@ def walk_path(instance: Instance, schedule: Sequence[int]) -> list[TreeNode]:
     LengthMismatch / InvalidMachineIndex for assignments that are not valid
     schedules.
     """
-    check_assignment(instance, schedule)
+    loads(instance, schedule)  # raises unless the schedule is valid
     current = [0] * instance.machine_count
     path = [root(instance)]
     prefix = tuple(schedule)
@@ -122,33 +112,26 @@ def walk_path(instance: Instance, schedule: Sequence[int]) -> list[TreeNode]:
     return path
 
 
-def _check_counting_domain(machine_count: int, n: int, what: str) -> None:
-    if machine_count < 2:
-        raise DomainError(f"machine count must be >= 2, got {machine_count}")
-    if n < 1:
-        raise DomainError(f"{what} must be >= 1, got {n}")
-
-
 def count_nodes(machine_count: int, height: int) -> int:
     """Total nodes of the perfect m-ary tree of the given height:
     (m^(h+1) - 1) / (m - 1), evaluated exactly."""
-    if machine_count < 2:
-        raise DomainError(f"machine count must be >= 2, got {machine_count}")
-    if height < 0:
-        raise DomainError(f"height must be >= 0, got {height}")
+    _int_at_least(machine_count, 2, "machine count", DomainError)
+    _int_at_least(height, 0, "height", DomainError)
     return (machine_count ** (height + 1) - 1) // (machine_count - 1)
 
 
 def count_schedules(machine_count: int, job_count: int) -> int:
     """Number of complete schedules: m^n."""
-    _check_counting_domain(machine_count, job_count, "job count")
+    _int_at_least(machine_count, 2, "machine count", DomainError)
+    _int_at_least(job_count, 1, "job count", DomainError)
     return machine_count**job_count
 
 
 def count_partial(machine_count: int, job_count: int) -> int:
     """Number of strict, non-empty prefix assignments (levels 1..n-1):
     (m^n - m) / (m - 1)."""
-    _check_counting_domain(machine_count, job_count, "job count")
+    _int_at_least(machine_count, 2, "machine count", DomainError)
+    _int_at_least(job_count, 1, "job count", DomainError)
     return (machine_count**job_count - machine_count) // (machine_count - 1)
 
 
@@ -159,16 +142,21 @@ def count_essential_formula(machine_count: int, job_count: int) -> int:
     this overcounts because schedules can leave a machine idle without being
     single-machine.  See count_essential_exact.
     """
-    _check_counting_domain(machine_count, job_count, "job count")
+    _int_at_least(machine_count, 2, "machine count", DomainError)
+    _int_at_least(job_count, 1, "job count", DomainError)
     return machine_count**job_count - machine_count
 
 
 def count_essential_exact(machine_count: int, job_count: int) -> int:
     """Number of schedules that use every machine, i.e. surjections from n
     jobs onto m machines, by inclusion-exclusion:
-    sum_{j=0..m} (-1)^j C(m,j) (m-j)^n."""
-    _check_counting_domain(machine_count, job_count, "job count")
+    sum_{j=0..m} (-1)^j C(m,j) (m-j)^n.  Zero when m > n, since n jobs
+    cover at most n machines."""
+    _int_at_least(machine_count, 2, "machine count", DomainError)
+    _int_at_least(job_count, 1, "job count", DomainError)
     m, n = machine_count, job_count
+    if m > n:
+        return 0
     return sum((-1) ** j * comb(m, j) * (m - j) ** n for j in range(m + 1))
 
 
@@ -194,14 +182,14 @@ def to_dot(
     """Graphviz DOT rendering of the tree down to `max_level`.
 
     Node labels show the assignment configuration and the load vector; edge
-    labels show the job-to-machine action.  Refuses with TooLarge when the
+    labels show the job-to-machine action.  Refuses with BudgetExceeded when the
     widest rendered level would exceed `node_cap` nodes.
     """
     n = instance.job_count
     if max_level < 0 or max_level > n:
         raise DomainError(f"max_level must be in 0..{n}, got {max_level}")
     if instance.machine_count**max_level > node_cap:
-        raise TooLarge(
+        raise BudgetExceeded(
             f"{instance.machine_count}^{max_level} leaves exceed the node cap "
             f"of {node_cap}"
         )

@@ -15,6 +15,7 @@ from makespan import decide_partition, PartitionInstance
 from makespan import cli
 from makespan.cli import main
 from makespan.files import (
+    MAX_MACHINES,
     FileFormatError,
     dump_json,
     load_certificate,
@@ -75,6 +76,13 @@ class TestFiles:
         assert parse_partition({"weights": [2, 3]}).weights == (2, 3)
         with pytest.raises(FileFormatError):
             parse_partition({"weights": [0]})
+
+    def test_machine_count_bound(self):
+        assert parse_instance({"machines": MAX_MACHINES, "jobs": [1]}).machine_count == MAX_MACHINES
+        with pytest.raises(FileFormatError, match="machines: at most"):
+            parse_instance({"machines": MAX_MACHINES + 1, "jobs": [1]})
+        with pytest.raises(FileFormatError, match="machines: at most"):
+            parse_mumpsp({"machines": MAX_MACHINES + 1, "users": [[1]]})
 
     def test_mumpsp(self):
         parsed = parse_mumpsp({"machines": 2, "users": [[1, 2], [3]]})
@@ -312,6 +320,14 @@ class TestEntryPoint:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    def test_import_leaves_out_the_process_pool(self):
+        # only the fanned brute-force scan needs concurrent.futures
+        code = "import sys, makespan.cli; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "False\n"
+
 
 _digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"),
@@ -321,7 +337,8 @@ _jobs_4300 = b",".join([b"9" * 4300] * 3)
 
 
 class TestExitCodeBoundary:
-    """Exit 2 for every file the CLI cannot read, parse or write."""
+    """Exit 2 for every file the CLI cannot read, parse or write, and for
+    every count it could not print."""
 
     @pytest.mark.parametrize(
         "content,argv",
@@ -350,6 +367,20 @@ class TestExitCodeBoundary:
                 id="4301-digit-weight-total",
                 marks=_digit_limit,
             ),
+            # 2**20000 has 6021 digits; it is refused before it is computed
+            pytest.param(
+                b"",
+                ["count", "--m", "2", "--n", "20000"],
+                id="count-20000-jobs",
+                marks=_digit_limit,
+            ),
+            # 2**14284 has 4300 digits, but the node count 2**14285 - 1 has 4301
+            pytest.param(
+                b"",
+                ["count", "--m", "2", "--n", "14284"],
+                id="count-4301-digit-nodes",
+                marks=_digit_limit,
+            ),
             pytest.param(
                 b"[" * 100_000 + b"]" * 100_000,
                 ["solve", "{file}", "--method", "bnb"],
@@ -373,11 +404,12 @@ class TestExitCodeBoundary:
         assert out == ""
 
 
-# Arbitrary bytes and arbitrary JSON, or objects shaped like instance and
-# certificate files so that the commands also get past the parser.  Integers
-# stay within 10**6, because every load vector has one entry per machine: a
-# machine count of 10**9 takes gigabytes, and 2**62 cannot be allocated at all
-# (see test_huge_machine_count below).
+# Arbitrary bytes and arbitrary JSON, or objects shaped like instance,
+# certificate and partition files so that the commands also get past the
+# parser.  Integers stay within 10**6, because every load vector has one entry
+# per machine and a machine count of 10**6 still loads (see
+# test_huge_machine_count below for what does not).  Partition weights and
+# count flags reach past the interpreter's 4300-digit limit.
 def _encoded(value) -> bytes:
     return json.dumps(value).encode()
 
@@ -406,22 +438,35 @@ _certificate_file = st.one_of(
     ).map(_encoded),
     _garbage,
 )
+_partition_file = st.one_of(
+    st.fixed_dictionaries(
+        {"weights": st.lists(st.integers(-1, 20) | st.integers(1, 10**4300 - 1), max_size=8)}
+    ).map(_encoded),
+    _garbage,
+)
 
 
 class TestAnyFile:
     @given(
         instance=_instance_file,
         certificate=_certificate_file,
-        command=st.sampled_from(["solve", "solve-bnb", "verify", "decide", "reduce-mumpsp", "dot"]),
+        partition=_partition_file,
+        command=st.sampled_from(
+            ["solve", "solve-bnb", "verify", "decide", "reduce-mumpsp", "dot", "count", "reduce-partition"]
+        ),
         threshold=st.integers(1, 40),
         level=st.integers(0, 4),
+        m=st.integers(2, 2**16),
+        n=st.integers(1, 20000),
     )
     @settings(max_examples=300, deadline=None)
-    def test_exit_code_in_contract(self, instance, certificate, command, threshold, level):
+    def test_exit_code_in_contract(self, instance, certificate, partition, command, threshold, level, m, n):
         with tempfile.TemporaryDirectory() as tmp:
             inst, cert = Path(tmp) / "instance.json", Path(tmp) / "certificate.json"
+            part = Path(tmp) / "partition.json"
             inst.write_bytes(instance)
             cert.write_bytes(certificate)
+            part.write_bytes(partition)
             argv = {
                 "solve": ["solve", str(inst), "--method", "brute", "--leaf-budget", "4096"],
                 "solve-bnb": ["solve", str(inst), "--method", "bnb", "--leaf-budget", "4096"],
@@ -432,17 +477,25 @@ class TestAnyFile:
                 ],
                 "reduce-mumpsp": ["reduce-mumpsp", str(inst)],
                 "dot": ["dot", str(inst), "--max-level", str(level)],
+                "count": ["count", "--m", str(m), "--n", str(n)],
+                "reduce-partition": ["reduce-partition", str(part)],
             }[command]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main(argv)
         assert code in (0, 1, 2, 3)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=(MemoryError, OverflowError),
-        reason="the load vector has one entry per machine, and no machine count is refused",
-    )
     def test_huge_machine_count(self, capsys, tmp_path):
+        # refused at load: a load vector this long cannot be allocated
         path = tmp_path / "huge-m.json"
         path.write_text(dump_json({"machines": 2**62, "jobs": [1]}))
-        assert run(capsys, "solve", str(path), "--method", "bnb")[0] in (2, 3)
+        cert = tmp_path / "cert.json"
+        cert.write_text(dump_json({"assignment": [1], "makespan": 1}))
+        for argv in (
+            ["solve", str(path), "--method", "bnb"],
+            ["verify", str(path), str(cert), "--threshold", "3"],
+            ["dot", str(path), "--max-level", "0"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code in (2, 3)
+            assert "Traceback" not in err
+            assert out == ""

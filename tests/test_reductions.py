@@ -6,13 +6,12 @@ import pytest
 
 from makespan import (
     BudgetExceeded,
-    CoverageMismatch,
     InvalidInstance,
+    InvalidMachineIndex,
+    InvalidSchedule,
     LengthMismatch,
     MumpspInstance,
-    NotTwoMachines,
     PartitionInstance,
-    ZeroWeight,
     brute_force_opt,
     decide,
     decide_partition,
@@ -49,15 +48,15 @@ class TestPartitionInstance:
         assert PartitionInstance((2, 3, 5, 4)).total_weight == 14
 
     def test_zero_weight(self):
-        with pytest.raises(ZeroWeight):
+        with pytest.raises(InvalidInstance):
             PartitionInstance((1, 0, 3))
 
     def test_negative_weight(self):
-        with pytest.raises(ZeroWeight):
+        with pytest.raises(InvalidInstance):
             PartitionInstance((1, -2, 3))
 
     def test_empty(self):
-        with pytest.raises(ZeroWeight):
+        with pytest.raises(InvalidInstance):
             PartitionInstance(())
 
 
@@ -116,7 +115,7 @@ class TestScheduleToPartition:
         assert schedule_to_partition((2, 1)) == ({2}, {1})
 
     def test_not_two_machines(self):
-        with pytest.raises(NotTwoMachines):
+        with pytest.raises(InvalidMachineIndex):
             schedule_to_partition((1, 3, 1))
 
 
@@ -144,7 +143,7 @@ class TestSubsetSumOracle:
             subset_sum_oracle([10, 10], 10, sum_budget=15)
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(ZeroWeight):
+        with pytest.raises(InvalidInstance):
             subset_sum_oracle([1, 0], 1)
 
     def test_matches_enumeration(self):
@@ -204,23 +203,23 @@ class TestUserMakespans:
 
     def test_missing_job(self):
         instance = MumpspInstance(2, ((1, 2),))
-        with pytest.raises(CoverageMismatch):
+        with pytest.raises(InvalidSchedule):
             mumpsp_user_makespans(instance, (((1, 1),), ()))
 
     def test_duplicate_job(self):
         instance = MumpspInstance(2, ((1, 2),))
-        with pytest.raises(CoverageMismatch):
+        with pytest.raises(InvalidSchedule):
             mumpsp_user_makespans(instance, (((1, 1), (1, 1)), ((1, 2),)))
 
     def test_unknown_job(self):
         instance = MumpspInstance(2, ((1, 2),))
-        with pytest.raises(CoverageMismatch):
+        with pytest.raises(InvalidSchedule):
             mumpsp_user_makespans(instance, (((1, 1), (1, 2)), ((2, 1),)))
 
     @pytest.mark.parametrize("entry", [(1,), 5, (1, 2, 3), ([1], 2)])
     def test_malformed_entry(self, entry):
         instance = MumpspInstance(2, ((1, 2),))
-        with pytest.raises(CoverageMismatch):
+        with pytest.raises(InvalidSchedule):
             mumpsp_user_makespans(instance, (((1, 1), entry), ()))
 
     def test_wrong_machine_rows(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from makespan import (
     BudgetExceeded,
     Certificate,
-    NotTwoMachines,
+    InvalidInstance,
     SolveResult,
     branch_and_bound,
     brute_force_opt,
@@ -225,7 +225,7 @@ class TestMagicSchedule:
         assert magic_schedule(instance, strategy) == magic_schedule(instance, strategy)
 
     def test_not_two_machines(self):
-        with pytest.raises(NotTwoMachines):
+        with pytest.raises(InvalidInstance):
             magic_schedule(make_instance(3, [1, 2, 3]))
 
     def test_exhaustive_iff_balanced_split_exists(self):

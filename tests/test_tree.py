@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from makespan import (
+    BudgetExceeded,
     DomainError,
     InvalidMachineIndex,
-    LeafHasNoChildren,
     LengthMismatch,
-    TooLarge,
     children,
     count_essential_exact,
     count_essential_formula,
@@ -73,7 +72,7 @@ class TestChildren:
 
     def test_leaf_has_no_children(self, demo_instance):
         leaf = walk_path(demo_instance, (1, 1, 2))[-1]
-        with pytest.raises(LeafHasNoChildren):
+        with pytest.raises(DomainError):
             children(demo_instance, leaf)
 
 
@@ -150,6 +149,8 @@ class TestCounting:
         assert count_essential_exact(3, 3) == 6
         assert count_essential_exact(3, 2) == 0
         assert count_essential_exact(2, 1) == 0
+        # more machines than jobs: answered without summing m + 1 terms
+        assert count_essential_exact(20000, 3) == 0
 
     def test_essential_exact_matches_enumeration(self):
         # independent oracle: count assignments covering every machine
@@ -200,11 +201,11 @@ class TestToDot:
 
     def test_too_large(self):
         big = make_instance(2, [1] * 20)
-        with pytest.raises(TooLarge):
+        with pytest.raises(BudgetExceeded):
             to_dot(big, 20)
 
     def test_respects_custom_cap(self, demo_instance):
-        with pytest.raises(TooLarge):
+        with pytest.raises(BudgetExceeded):
             to_dot(demo_instance, 3, node_cap=7)
 
     def test_level_beyond_height(self, demo_instance):
