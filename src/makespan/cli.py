@@ -22,6 +22,8 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+BUDGET_HELP = "most leaves the brute-force scan may price, or nodes the pruned search may generate"
+
 
 def _at_least(low: int):
     """argparse type for an integer flag that must be >= low."""
@@ -72,10 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the brute-force scan (default: usable CPUs)",
     )
     p.add_argument(
-        "--leaf-budget",
-        type=_at_least(1),
-        default=solver.DEFAULT_LEAF_BUDGET,
-        help="most leaves the brute-force scan may price, or nodes bnb may generate",
+        "--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
     )
     p.set_defaults(func=_cmd_solve)
 
@@ -89,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance_file")
     p.add_argument("--threshold", type=_at_least(1), required=True)
     p.add_argument("--witness-out", help="also write the witness certificate here")
-    p.add_argument("--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET)
+    p.add_argument(
+        "--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
+    )
     p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser(
@@ -117,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     jobs = [rng.randint(1, args.pmax) for _ in range(args.n)]
-    print(files.dump_json({"machines": args.m, "jobs": jobs}))
+    # the file rules refuse what the other commands could not load
+    instance = files.parse_instance({"machines": args.m, "jobs": jobs})
+    print(files.dump_json(files.instance_to_json(instance)))
     return EXIT_OK
 
 
@@ -174,9 +177,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_decide(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance_file)
-    yes, witness = verifier.decide(
-        instance, args.threshold, leaf_budget=args.leaf_budget
-    )
+    yes, witness = verifier.decide(instance, args.threshold, node_budget=args.leaf_budget)
     if not yes:
         print("no")
         return EXIT_NO

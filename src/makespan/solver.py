@@ -93,16 +93,6 @@ def _scan_subtree(
     return int(best_w), best_a
 
 
-def _check_leaf_budget(m: int, n: int, leaf_budget: int) -> int:
-    """The tree's leaf count m^n; BudgetExceeded when it passes leaf_budget."""
-    total_leaves = m**n
-    if total_leaves > leaf_budget:
-        raise BudgetExceeded(
-            f"{m}^{n} = {total_leaves} leaves exceed the budget of {leaf_budget}"
-        )
-    return total_leaves
-
-
 def brute_force_opt(
     instance: Instance,
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
@@ -118,7 +108,11 @@ def brute_force_opt(
     m = instance.machine_count
     times = instance.processing_times
     n = len(times)
-    total_leaves = _check_leaf_budget(m, n, leaf_budget)
+    total_leaves = m**n
+    if total_leaves > leaf_budget:
+        raise BudgetExceeded(
+            f"{m}^{n} = {total_leaves} leaves exceed the budget of {leaf_budget}"
+        )
 
     if workers > 1 and total_leaves >= _PARALLEL_MIN_LEAVES and n > 2:
         depth = 1
@@ -156,14 +150,16 @@ def _lpt_makespan(m: int, times: Iterable[int]) -> int:
 
 
 def _search(
-    m: int, times: tuple[int, ...], limit: int, node_budget: int | None = None
+    m: int, times: tuple[int, ...], threshold: int, node_budget: int
 ) -> SolveResult:
     """The pruned depth-first search over the assignment tree.
 
-    Returns the lexicographically least schedule of least makespan below
-    `limit`, or best_schedule () and optimum `limit` when no schedule is
-    below it.  Machines are tried in index order, and of several machines
-    with equal current load only the first: relabelling the others gives a
+    Returns the lexicographically least schedule of least makespan at most
+    `threshold`, or best_schedule () when there is none.  The incumbent
+    starts at limit = min(LPT makespan, threshold) + 1: the +1 lets the
+    search still reach the least schedule when LPT is already optimal.
+    Machines are tried in index order, and of several machines with equal
+    current load only the first: relabelling the others gives a
     lexicographically larger schedule of the same makespan.  A child is cut
     when its largest load reaches the incumbent; the other lower bounds,
     ceil(total/m) and the largest remaining job, never exceed `target`, so
@@ -175,6 +171,7 @@ def _search(
     """
     n = len(times)
     target = max(-(-sum(times) // m), max(times))
+    limit = min(_lpt_makespan(m, times), threshold) + 1
     if limit <= target:
         return SolveResult((), limit, 0, 0)
     current = [0] * m
@@ -190,7 +187,7 @@ def _search(
         the incumbent is optimal."""
         nonlocal best, best_a, leaves, pruned, generated
         generated += m
-        if node_budget is not None and generated > node_budget:
+        if generated > node_budget:
             raise BudgetExceeded(f"the search generated more than {node_budget} nodes")
         p = times[level]
         seen = set()
@@ -248,8 +245,8 @@ def branch_and_bound(
         order = list(range(n))
     times = tuple(instance.processing_times[i] for i in order)
 
-    # +1: the search may return a schedule as long as the LPT one
-    result = _search(m, times, _lpt_makespan(m, times) + 1, node_budget)
+    # the total work bounds every makespan, so this threshold cuts nothing
+    result = _search(m, times, instance.total_work, node_budget)
     schedule = [0] * n
     for pos, job in enumerate(order):
         schedule[job] = result.best_schedule[pos]
@@ -276,7 +273,9 @@ def exhaustive_strategy(instance: Instance) -> Iterator[Schedule]:
     Depth-first over the assignment tree, cutting any branch whose load
     already exceeds half the total work; since loads only grow, the surviving
     leaves are exactly the schedules with both loads equal to half the total.
-    Yields nothing when the total is odd.
+    Yields nothing when the total is odd.  Raises BudgetExceeded once the
+    walk has generated more than DEFAULT_LEAF_BUDGET nodes, counted as in the
+    pruned search.
     """
     if instance.machine_count != 2:
         raise InvalidInstance(
@@ -289,11 +288,17 @@ def exhaustive_strategy(instance: Instance) -> Iterator[Schedule]:
     times = instance.processing_times
     n = len(times)
     assign = [0] * n
+    node_budget = DEFAULT_LEAF_BUDGET
+    generated = 0
 
     def walk(level: int, load_one: int, load_two: int) -> Iterator[Schedule]:
+        nonlocal generated
         if level == n:
             yield tuple(assign)
             return
+        generated += 2
+        if generated > node_budget:
+            raise BudgetExceeded(f"the walk generated more than {node_budget} nodes")
         p = times[level]
         if load_one + p <= half:
             assign[level] = 1
@@ -336,7 +341,7 @@ def magic_schedule(
     Succeeds on the first candidate whose makespan equals half the total work
     exactly (impossible for odd totals), returning that schedule; fails when
     the strategy's candidates are exhausted.  Raises InvalidInstance for
-    instances with m != 2.
+    instances with m != 2, and propagates the strategy's BudgetExceeded.
     """
     if instance.machine_count != 2:
         raise InvalidInstance(

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from .model import Instance, InvalidMachineIndex, LengthMismatch, Schedule, loads
 from .solver import (
     DEFAULT_LEAF_BUDGET,
-    SolveResult,
-    _check_leaf_budget,
-    _lpt_makespan,
     _search,
+    branch_and_bound,
     brute_force_opt,  # noqa: F401  bench/spans.py wraps verifier.brute_force_opt
 )
 
@@ -113,41 +111,32 @@ def verify_certificate(
     return Verdict.accept()
 
 
-def _least_schedule(
-    instance: Instance, threshold: int, leaf_budget: int
-) -> SolveResult:
-    """The pruned search over the jobs in file order: the lexicographically
-    least optimal schedule when the optimum is at most `threshold`, else
-    best_schedule ().  Raises BudgetExceeded before any work when
-    m^n > leaf_budget."""
-    m, times = instance.machine_count, instance.processing_times
-    _check_leaf_budget(m, len(times), leaf_budget)
-    return _search(m, times, min(_lpt_makespan(m, times), threshold) + 1)
-
-
 def prove(
-    instance: Instance, leaf_budget: int = DEFAULT_LEAF_BUDGET
+    instance: Instance, node_budget: int = DEFAULT_LEAF_BUDGET
 ) -> Certificate:
     """Prover role: the optimal certificate, lexicographically least.
 
     Always passes verify_certificate with threshold equal to its own claim.
-    Propagates BudgetExceeded for instances beyond the leaf budget.
+    Propagates BudgetExceeded once the search generates more than
+    `node_budget` nodes.
     """
-    # the total work bounds every makespan, so this threshold cuts nothing
-    result = _least_schedule(instance, instance.total_work, leaf_budget)
+    result = branch_and_bound(instance, node_budget=node_budget)
     return Certificate(result.best_schedule, result.optimum)
 
 
 def decide(
-    instance: Instance, threshold: int, leaf_budget: int = DEFAULT_LEAF_BUDGET
+    instance: Instance, threshold: int, node_budget: int = DEFAULT_LEAF_BUDGET
 ) -> tuple[bool, Certificate | None]:
     """Decision question: does any schedule reach makespan <= threshold?
 
     Returns (True, witness certificate) or (False, None).  The witness is the
     optimal certificate, so it passes verify_certificate at the same
-    threshold.  Monotone in the threshold.  Propagates BudgetExceeded.
+    threshold.  Monotone in the threshold.  Propagates BudgetExceeded once
+    the search generates more than `node_budget` nodes.
     """
-    result = _least_schedule(instance, threshold, leaf_budget)
+    result = _search(
+        instance.machine_count, instance.processing_times, threshold, node_budget
+    )
     if not result.best_schedule:
         return False, None
     return True, Certificate(result.best_schedule, result.optimum)

@@ -254,6 +254,22 @@ class TestDecide:
         code, out, _ = run(capsys, "verify", demo_file, str(witness_path), "--threshold", "3")
         assert (code, out.strip()) == (0, "accept")
 
+    def test_budget_counts_nodes_not_leaves(self, capsys, tmp_path):
+        # 2^27 leaves, but the search generates 54 nodes
+        path = tmp_path / "ones.json"
+        path.write_text(dump_json({"machines": 2, "jobs": [1] * 27}))
+        code, out, _ = run(capsys, "decide", str(path), "--threshold", "14")
+        assert code == 0
+        assert out.splitlines()[0] == "yes"
+
+    def test_node_budget_exit(self, capsys, tmp_path):
+        # the file of TestSolve.test_bnb_node_budget_exit, at its optimum 43
+        path = tmp_path / "nine.json"
+        path.write_text(dump_json({"machines": 3, "jobs": [10, 11, 12, 13, 14, 15, 16, 17, 19]}))
+        code, out, err = run(capsys, "decide", str(path), "--threshold", "43", "--leaf-budget", "20")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
 
 class TestReduce:
     def test_reduce_partition_output(self, capsys, tmp_path):
@@ -381,6 +397,18 @@ class TestExitCodeBoundary:
                 id="count-4301-digit-nodes",
                 marks=_digit_limit,
             ),
+            # gen prints only files the other commands load
+            pytest.param(
+                b"",
+                ["gen", "--seed", "1", "--m", str(2**62), "--n", "2", "--pmax", "3"],
+                id="gen-2**62-machines",
+            ),
+            pytest.param(
+                b"",
+                ["gen", "--seed", "1", "--m", "2", "--n", "3", "--pmax", "9" * 4300],
+                id="gen-4301-digit-total",
+                marks=_digit_limit,
+            ),
             pytest.param(
                 b"[" * 100_000 + b"]" * 100_000,
                 ["solve", "{file}", "--method", "bnb"],
@@ -409,7 +437,8 @@ class TestExitCodeBoundary:
 # parser.  Integers stay within 10**6, because every load vector has one entry
 # per machine and a machine count of 10**6 still loads (see
 # test_huge_machine_count below for what does not).  Partition weights and
-# count flags reach past the interpreter's 4300-digit limit.
+# count and gen flags reach past the interpreter's 4300-digit limit, and the
+# gen machine count past files.MAX_MACHINES; what gen prints must load.
 def _encoded(value) -> bytes:
     return json.dumps(value).encode()
 
@@ -452,15 +481,20 @@ class TestAnyFile:
         certificate=_certificate_file,
         partition=_partition_file,
         command=st.sampled_from(
-            ["solve", "solve-bnb", "verify", "decide", "reduce-mumpsp", "dot", "count", "reduce-partition"]
+            ["solve", "solve-bnb", "verify", "decide", "reduce-mumpsp", "dot", "count", "reduce-partition", "gen"]
         ),
         threshold=st.integers(1, 40),
         level=st.integers(0, 4),
         m=st.integers(2, 2**16),
         n=st.integers(1, 20000),
+        gen_m=st.integers(2, 2**62),
+        gen_n=st.integers(1, 50),
+        pmax=st.integers(1, 10**4300 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_exit_code_in_contract(self, instance, certificate, partition, command, threshold, level, m, n):
+    def test_exit_code_in_contract(
+        self, instance, certificate, partition, command, threshold, level, m, n, gen_m, gen_n, pmax
+    ):
         with tempfile.TemporaryDirectory() as tmp:
             inst, cert = Path(tmp) / "instance.json", Path(tmp) / "certificate.json"
             part = Path(tmp) / "partition.json"
@@ -479,10 +513,14 @@ class TestAnyFile:
                 "dot": ["dot", str(inst), "--max-level", str(level)],
                 "count": ["count", "--m", str(m), "--n", str(n)],
                 "reduce-partition": ["reduce-partition", str(part)],
+                "gen": ["gen", "--seed", str(threshold), "--m", str(gen_m), "--n", str(gen_n), "--pmax", str(pmax)],
             }[command]
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
                 code = main(argv)
         assert code in (0, 1, 2, 3)
+        if command == "gen" and code == 0:
+            parse_instance(json.loads(out.getvalue()))
 
     def test_huge_machine_count(self, capsys, tmp_path):
         # refused at load: a load vector this long cannot be allocated

@@ -245,6 +245,16 @@ class TestMagicSchedule:
             optimum = brute_force_opt(instance).optimum
             assert magic_schedule(instance).success == (2 * optimum == sum(times))
 
+    def test_exhaustive_node_budget(self, monkeypatch):
+        # every weight is even but half the total, 21, is odd: no balanced
+        # split, and the walk would generate about a million nodes
+        instance = make_instance(2, [2] * 19 + [4])
+        monkeypatch.setattr(solver_module, "DEFAULT_LEAF_BUDGET", 1000)
+        with pytest.raises(BudgetExceeded):
+            magic_schedule(instance)
+        with pytest.raises(BudgetExceeded):
+            list(exhaustive_strategy(instance))
+
     def test_exhaustive_strategy_yields_balanced_only(self):
         instance = make_instance(2, [1, 1, 2, 2])
         for candidate in exhaustive_strategy(instance):

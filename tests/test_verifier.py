@@ -85,8 +85,19 @@ class TestDecide:
         assert yes
 
     def test_budget_propagates(self):
+        # the optimum 43 is ceil(127/3), so a threshold below it is answered
+        # before any node is generated; at the optimum, reaching the first
+        # leaf generates 9 * 3 children
+        instance = make_instance(3, [10, 11, 12, 13, 14, 15, 16, 17, 19])
+        assert decide(instance, 42, node_budget=20) == (False, None)
         with pytest.raises(BudgetExceeded):
-            decide(make_instance(2, [1] * 30), 10)
+            decide(instance, 43, node_budget=20)
+
+    def test_budget_counts_nodes_not_leaves(self):
+        # 2^27 leaves, yet the first leaf the search reaches is optimal
+        yes, witness = decide(make_instance(2, [1] * 27), 14)
+        assert yes
+        assert witness == Certificate((1,) * 14 + (2,) * 13, 14)
 
     def test_monotone_in_threshold(self):
         rng = random.Random(31)
@@ -107,6 +118,9 @@ class TestProve:
 
     def test_three_machines(self):
         assert prove(make_instance(3, [1, 1, 1])) == Certificate((1, 2, 3), 1)
+
+    def test_budget_counts_nodes_not_leaves(self):
+        assert prove(make_instance(2, [1] * 27)) == Certificate((1,) * 14 + (2,) * 13, 14)
 
 
 class TestSoundnessAndCompleteness:
