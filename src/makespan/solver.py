@@ -2,14 +2,14 @@
 
 ``brute_force_opt`` prices every one of the m^n leaves and returns the
 lexicographically least optimal schedule.  ``_search`` is the one pruned
-search: identical-machine symmetry breaking, an LPT incumbent and a stop at
-the lower bound.  ``branch_and_bound`` and the verifier's ``prove`` and
-``decide`` run it, and it returns the same optimum as the full scan.
-``magic_schedule`` is the two-machine balanced-split
-procedure: it succeeds only when a schedule's makespan equals the ideal
-half-total exactly, with the nondeterministic choice of partition supplied as
-an explicit, testable strategy (exhaustive search, a fixed certificate, or
-random sampling).
+search: identical-machine symmetry breaking, an LPT incumbent, a cut at the
+incumbent, a wasted-space cut and a stop at the lower bound.
+``branch_and_bound`` and the verifier's ``prove`` and ``decide`` run it, and
+it returns the same optimum as the full scan.  ``magic_schedule`` is the
+two-machine balanced-split procedure: it succeeds only when a schedule's
+makespan equals the ideal half-total exactly, with the nondeterministic
+choice of partition supplied as an explicit, testable strategy (exhaustive
+search, a fixed certificate, or random sampling).
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ _PARALLEL_MIN_LEAVES = 1 << 18
 class SolveResult:
     """Outcome of an exact solve.
 
-    leaves_explored counts priced leaves; nodes_pruned counts subtrees cut
-    before expansion, including machines skipped because an earlier machine
-    has the same load (always 0 for the full scan).
+    leaves_explored counts priced leaves; nodes_pruned counts the children
+    the pruned search does not expand: machines skipped because an earlier
+    machine has the same load, children whose largest load reaches the
+    incumbent, and children cut for wasted space (always 0 for the full
+    scan).
     """
 
     best_schedule: Schedule
@@ -163,17 +165,25 @@ def _search(
     lexicographically larger schedule of the same makespan.  A child is cut
     when its largest load reaches the incumbent; the other lower bounds,
     ceil(total/m) and the largest remaining job, never exceed `target`, so
-    they are below the incumbent for as long as the search runs.  The search
-    stops as soon as the incumbent reaches `target`, which no schedule beats.
+    they are below the incumbent for as long as the search runs.  A child is
+    also cut for wasted space: a machine whose load is within the shortest
+    remaining job of cap = incumbent - 1 can take no more jobs, and when the
+    space so lost exceeds the slack m*cap - total, the remaining jobs cannot
+    fit under cap.  Both cuts drop only subtrees without a schedule below the
+    incumbent, so the witness does not depend on them.  The search stops as
+    soon as the incumbent reaches `target`, which no schedule beats.
 
     Raises BudgetExceeded once more than `node_budget` nodes are generated
     (all m children of each expanded node count).
     """
     n = len(times)
-    target = max(-(-sum(times) // m), max(times))
+    total = sum(times)
+    target = max(-(-total // m), max(times))
     limit = min(_lpt_makespan(m, times), threshold) + 1
     if limit <= target:
         return SolveResult((), limit, 0, 0)
+    # least[k] is the shortest of the jobs from level k on (0 past the end)
+    least = list(itertools.accumulate(reversed(times), min))[::-1] + [0]
     current = [0] * m
     assign = [0] * n
     best = limit
@@ -190,6 +200,8 @@ def _search(
         if generated > node_budget:
             raise BudgetExceeded(f"the search generated more than {node_budget} nodes")
         p = times[level]
+        nxt = level + 1
+        shortest = least[nxt]
         seen = set()
         for j in machines:
             load = current[j]
@@ -213,7 +225,27 @@ def _search(
                     return True
                 continue
             current[j] = load
-            done = visit(level + 1, top)
+            # Wasted space: a completion that beats the incumbent keeps every
+            # load at most cap, so a machine above cap - shortest takes no
+            # further job and its residual is lost.  Once more is lost than
+            # the m*cap - total units of slack, the jobs left cannot fit.
+            # Nothing is lost while the largest load is at most that edge, and
+            # the largest load's loss alone usually settles the question.
+            if top + shortest >= best:
+                cap = best - 1
+                slack = m * cap - total
+                waste = cap - top
+                if waste <= slack:
+                    edge = cap - shortest
+                    waste = 0
+                    for x in current:
+                        if x > edge:
+                            waste += cap - x
+                if waste > slack:
+                    current[j] = load - p
+                    pruned += 1
+                    continue
+            done = visit(nxt, top)
             current[j] = load - p
             if done:
                 return True
@@ -230,10 +262,13 @@ def branch_and_bound(
 ) -> SolveResult:
     """Exact optimum by the pruned search, seeded with the LPT makespan.
 
-    The optimum always equals brute_force_opt's; the schedule is the
-    lexicographically least optimal one in search order.  With
-    lpt_order=True jobs are considered longest-first, which usually finds
-    good schedules much sooner; the schedule is then least in that order.
+    The search skips machines of equal load and cuts children whose largest
+    load reaches the incumbent or whose wasted space leaves the remaining
+    jobs no room below it (see _search).  The optimum always equals
+    brute_force_opt's; the schedule is the lexicographically least optimal
+    one in search order.  With lpt_order=True jobs are considered
+    longest-first, which usually finds good schedules much sooner; the
+    schedule is then least in that order.
     Raises BudgetExceeded once the search generates more than `node_budget`
     nodes.
     """

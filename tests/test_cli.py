@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from makespan import decide_partition, PartitionInstance
+from makespan import branch_and_bound, decide_partition, make_instance, PartitionInstance
 from makespan import cli
 from makespan.cli import main
 from makespan.files import (
@@ -193,6 +193,28 @@ class TestSolve:
         assert (code, out) == (3, "")
         assert err.startswith("error: ")
         assert run(capsys, "solve", str(path), "--method", "bnb")[0] == 0
+
+    def test_bnb_searches_longest_job_first(self, capsys, tmp_path):
+        # the file of test_bnb_node_budget_exit, where the least optimal
+        # schedule in LPT order is not the least one in file order
+        jobs = [10, 11, 12, 13, 14, 15, 16, 17, 19]
+        path = tmp_path / "nine.json"
+        path.write_text(dump_json({"machines": 3, "jobs": jobs}))
+        code, out, _ = run(capsys, "solve", str(path), "--method", "bnb")
+        assert code == 0
+        printed = json.loads(out)
+        instance = make_instance(3, jobs)
+        expected = branch_and_bound(instance, lpt_order=True)
+        assert expected.best_schedule != branch_and_bound(instance).best_schedule
+        assert (printed["optimum"], tuple(printed["assignment"])) == (
+            expected.optimum,
+            expected.best_schedule,
+        )
+        cert = tmp_path / "cert.json"
+        cert.write_text(dump_json({"assignment": printed["assignment"], "makespan": printed["optimum"]}))
+        threshold = str(printed["optimum"])
+        code, out, _ = run(capsys, "verify", str(path), str(cert), "--threshold", threshold)
+        assert (code, out.strip()) == (0, "accept")
 
     def test_threads_default_is_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):

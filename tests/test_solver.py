@@ -149,10 +149,39 @@ class TestBranchAndBound:
 
     def test_equal_loads_tried_once(self):
         # the optimum 6 is above ceil(12/3), so the search runs to the end;
-        # of its 12 cuts, 7 skip a machine whose load equals an earlier
-        # machine's and 5 are load bounds against the incumbent
+        # of its 8 cuts, 4 skip a machine whose load equals an earlier
+        # machine's (2 at the root, 1 below [3, 0, 0], 1 below [6, 0, 0]),
+        # 3 are load bounds against the incumbent (1 below [6, 0, 0], 2
+        # below [6, 3, 0]), and 1 is for wasted space: once the leaf
+        # (1, 1, 2, 2) makes the incumbent 6, the child [3, 3, 0] leaves
+        # cap 5, where machines of load 3 cannot take another job of 3;
+        # they lose 2 + 2 = 4, more than the slack 3 * 5 - 12 = 3
         result = branch_and_bound(make_instance(3, [3, 3, 3, 3]))
-        assert result == SolveResult((1, 1, 2, 2), 6, 1, 7 + 5)
+        assert result == SolveResult((1, 1, 2, 2), 6, 1, 4 + 3 + 1)
+
+    @given(
+        st.integers(2, 5),
+        st.one_of(
+            st.lists(st.integers(1, 6), min_size=1, max_size=8),
+            st.lists(st.integers(10**5, 10**6), min_size=1, max_size=8),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lpt_order_agrees_with_brute_force(self, m, times):
+        instance = make_instance(m, times)
+        result = branch_and_bound(instance, lpt_order=True)
+        assert result.optimum == brute_force_opt(instance).optimum
+        assert makespan(instance, result.best_schedule) == result.optimum
+
+    def test_wasted_space_cut(self):
+        # 14 jobs of 3 on 3 machines: the optimum 15 is above ceil(42/3), so
+        # once the first leaf is found the search must show that nothing
+        # fits under cap 14.  The slack 3 * 14 - 42 is 0, so a machine that
+        # reaches 12 loses 2 units no job fills, and the wasted-space cut
+        # ends that subtree at once.  The search then generates 582 nodes;
+        # without the cut it generates 6132.
+        instance = make_instance(3, [3] * 14)
+        assert branch_and_bound(instance, node_budget=1000).optimum == 15
 
     def test_node_budget(self):
         # reaching the first leaf alone generates 9 * 3 children
