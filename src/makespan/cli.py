@@ -9,7 +9,6 @@ Exit codes are stable so shell pipelines can branch on them:
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 
@@ -21,6 +20,10 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# gen builds its whole job list before the file rules see it, so the job
+# count is refused first above this bound.
+MAX_GEN_JOBS = 1 << 20
 
 BUDGET_HELP = "most leaves the brute-force scan may price, or nodes the pruned search may generate"
 
@@ -35,14 +38,6 @@ def _at_least(low: int):
         return value
 
     return integer
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on, which a cgroup or taskset can limit."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.n > MAX_GEN_JOBS:
+        raise DomainError(f"--n: at most {MAX_GEN_JOBS}, got {args.n}")
     rng = random.Random(args.seed)
     jobs = [rng.randint(1, args.pmax) for _ in range(args.n)]
     # the file rules refuse what the other commands could not load
@@ -150,7 +147,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance_file)
     if args.method == "brute":
         result = solver.brute_force_opt(
-            instance, leaf_budget=args.leaf_budget, workers=args.threads or _cpu_count()
+            instance, leaf_budget=args.leaf_budget, workers=args.threads or solver._cpu_count()
         )
     else:
         # longest job first: the optimum is the same, the search much shorter

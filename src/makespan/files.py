@@ -4,9 +4,9 @@ One object per file, unknown fields rejected, so outputs are byte-stable and
 every parse failure names the offending field:
 
     instance     {"machines": int, "jobs": [int, ...]}
-    multi-user   {"machines": int, "users": [[int, ...], ...]}
     partition    {"weights": [int, ...]}
     certificate  {"assignment": [int, ...], "makespan": int}
+    multi-user   {"machines": int, "users": [[int, ...], ...]}   (written only)
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .model import Instance, InvalidInstance, SchedulingError, make_instance
 from .reductions import MumpspInstance, PartitionInstance
@@ -29,18 +29,6 @@ class FileFormatError(SchedulingError):
     """A file or JSON object does not match its schema."""
 
 
-def _object(data: Any, what: str, fields: set[str]) -> dict:
-    if not isinstance(data, dict):
-        raise FileFormatError(f"{what}: expected a JSON object")
-    unknown = set(data) - fields
-    if unknown:
-        raise FileFormatError(f"{what}: unknown field '{sorted(unknown)[0]}'")
-    missing = fields - set(data)
-    if missing:
-        raise FileFormatError(f"{what}: missing field '{sorted(missing)[0]}'")
-    return data
-
-
 def _int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FileFormatError(f"{where}: expected an integer, got {value!r}")
@@ -53,10 +41,10 @@ def _int_list(value: Any, where: str) -> list[int]:
     return [_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _machine_count(value: Any) -> int:
-    machines = _int(value, "machines")
+def _machines(value: Any, where: str) -> int:
+    machines = _int(value, where)
     if machines > MAX_MACHINES:
-        raise FileFormatError(f"machines: at most {MAX_MACHINES}, got {machines}")
+        raise FileFormatError(f"{where}: at most {MAX_MACHINES}, got {machines}")
     return machines
 
 
@@ -81,47 +69,50 @@ def _check_printable(
         raise error(f"{what} has more than {limit} digits")
 
 
-def parse_instance(data: Any) -> Instance:
-    obj = _object(data, "instance file", {"machines", "jobs"})
-    machines = _machine_count(obj["machines"])
-    jobs = _int_list(obj["jobs"], "jobs")
-    _check_printable(sum(jobs), "jobs: total")
+def _summed_list(value: Any, where: str) -> list[int]:
+    """A list of integers whose total, like every load printed from it, stays
+    printable."""
+    values = _int_list(value, where)
+    _check_printable(sum(values), f"{where}: total")
+    return values
+
+
+def _parse(
+    kind: str, data: Any, fields: dict[str, Callable[[Any, str], Any]], build: Callable[..., Any]
+) -> Any:
+    """The one check of a file's object: a JSON object with exactly `fields`,
+    each read by its reader in order and passed to `build` in that order.
+    The builder's InvalidInstance becomes a FileFormatError naming `kind`."""
+    if not isinstance(data, dict):
+        raise FileFormatError(f"{kind} file: expected a JSON object")
+    unknown = data.keys() - fields.keys()
+    if unknown:
+        raise FileFormatError(f"{kind} file: unknown field '{sorted(unknown)[0]}'")
+    missing = fields.keys() - data.keys()
+    if missing:
+        raise FileFormatError(f"{kind} file: missing field '{sorted(missing)[0]}'")
+    values = [read(data[name], name) for name, read in fields.items()]
     try:
-        return make_instance(machines, jobs)
+        return build(*values)
     except InvalidInstance as exc:
-        raise FileFormatError(f"instance file: {exc}") from exc
+        raise FileFormatError(f"{kind} file: {exc}") from exc
+
+
+def parse_instance(data: Any) -> Instance:
+    return _parse("instance", data, {"machines": _machines, "jobs": _summed_list}, make_instance)
 
 
 def parse_partition(data: Any) -> PartitionInstance:
-    obj = _object(data, "partition file", {"weights"})
-    weights = _int_list(obj["weights"], "weights")
-    _check_printable(sum(weights), "weights: total")
-    try:
-        return PartitionInstance(tuple(weights))
-    except InvalidInstance as exc:
-        raise FileFormatError(f"partition file: {exc}") from exc
-
-
-def parse_mumpsp(data: Any) -> MumpspInstance:
-    obj = _object(data, "multi-user file", {"machines", "users"})
-    machines = _machine_count(obj["machines"])
-    users = obj["users"]
-    if not isinstance(users, list):
-        raise FileFormatError("users: expected a list of job lists")
-    lists = tuple(
-        tuple(_int_list(jobs, f"users[{r}]")) for r, jobs in enumerate(users)
-    )
-    try:
-        return MumpspInstance(machines, lists)
-    except InvalidInstance as exc:
-        raise FileFormatError(f"multi-user file: {exc}") from exc
+    return _parse("partition", data, {"weights": _summed_list}, PartitionInstance)
 
 
 def parse_certificate(data: Any) -> Certificate:
-    obj = _object(data, "certificate file", {"assignment", "makespan"})
-    assignment = _int_list(obj["assignment"], "assignment")
-    claimed = _int(obj["makespan"], "makespan")
-    return Certificate(tuple(assignment), claimed)
+    return _parse(
+        "certificate",
+        data,
+        {"assignment": _int_list, "makespan": _int},
+        lambda assignment, claimed: Certificate(tuple(assignment), claimed),
+    )
 
 
 def load_json(path: str | Path) -> Any:

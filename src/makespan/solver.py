@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
@@ -95,6 +96,14 @@ def _scan_subtree(
     return int(best_w), best_a
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on, which a cgroup or taskset can limit."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def brute_force_opt(
     instance: Instance,
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
@@ -105,7 +114,8 @@ def brute_force_opt(
     Raises BudgetExceeded before starting any work when m^n > leaf_budget.
     With workers > 1 (and a large enough scan) disjoint prefix subtrees are
     scanned by separate processes and min-reduced; the result is identical to
-    the sequential scan.
+    the sequential scan.  No more processes start than this process has
+    CPUs to run on, whatever `workers` asks for.
     """
     m = instance.machine_count
     times = instance.processing_times
@@ -116,6 +126,7 @@ def brute_force_opt(
             f"{m}^{n} = {total_leaves} leaves exceed the budget of {leaf_budget}"
         )
 
+    workers = min(workers, _cpu_count())
     if workers > 1 and total_leaves >= _PARALLEL_MIN_LEAVES and n > 2:
         depth = 1
         while m**depth < workers and depth < n - 1:

@@ -8,9 +8,10 @@ together with the machine-load vector that prefix induces; a leaf's weight
 schedule it encodes.
 
 The tree is never materialized.  Nodes are generated on demand from
-(instance, prefix) and discarded, so enumeration and path walks run with
-memory proportional to a single root-to-leaf path.  Disjoint subtrees are
-addressed by their prefixes and may be explored by independent workers.
+(instance, prefix) and discarded, so leaf enumeration keeps O(n) state.  A
+path walk returns its n+1 nodes, each holding its own prefix, so it takes
+O(n * (n + m)) time and memory.  Disjoint subtrees are addressed by their
+prefixes and may be explored by independent workers.
 
 The closed-form counters for nodes, schedules, strict prefixes, and
 machine-covering (essential) schedules live here next to the enumeration they
@@ -53,13 +54,18 @@ class TreeNode:
         """Largest current machine load; for a leaf this is the makespan."""
         return max(self.load_vector)
 
-    def is_leaf(self, instance: Instance) -> bool:
-        return self.level == instance.job_count
-
 
 def root(instance: Instance) -> TreeNode:
     """Initial configuration: nothing assigned, all loads zero."""
     return TreeNode(0, (), (0,) * instance.machine_count)
+
+
+def _child(instance: Instance, node: TreeNode, machine: int) -> TreeNode:
+    """`node` with the next job assigned to `machine` (1-based) and added to
+    that machine's load."""
+    grown = list(node.load_vector)
+    grown[machine - 1] += instance.processing_times[node.level]
+    return TreeNode(node.level + 1, node.assignment_prefix + (machine,), tuple(grown))
 
 
 def children(instance: Instance, node: TreeNode) -> list[TreeNode]:
@@ -70,15 +76,7 @@ def children(instance: Instance, node: TreeNode) -> list[TreeNode]:
     """
     if node.level >= instance.job_count:
         raise DomainError(f"node at level {node.level} is a leaf")
-    p = instance.processing_times[node.level]
-    out = []
-    for j in range(instance.machine_count):
-        grown = list(node.load_vector)
-        grown[j] += p
-        out.append(
-            TreeNode(node.level + 1, node.assignment_prefix + (j + 1,), tuple(grown))
-        )
-    return out
+    return [_child(instance, node, j) for j in range(1, instance.machine_count + 1)]
 
 
 def leaves(instance: Instance) -> Iterator[Schedule]:
@@ -87,28 +85,22 @@ def leaves(instance: Instance) -> Iterator[Schedule]:
 
     Lazy: O(n) state per consumer, never materializes the m^n leaves.
     """
-    return iter(
-        itertools.product(
-            range(1, instance.machine_count + 1), repeat=instance.job_count
-        )
-    )
+    return itertools.product(range(1, instance.machine_count + 1), repeat=instance.job_count)
 
 
 def walk_path(instance: Instance, schedule: Sequence[int]) -> list[TreeNode]:
     """The unique root-to-leaf node sequence selecting branch schedule[i] at
-    level i; n+1 nodes in total.
+    level i; n+1 nodes in total, each holding its own prefix, so the walk
+    takes O(n * (n + m)) time and memory.
 
     The final node's load vector equals loads(instance, schedule).  Raises
     LengthMismatch / InvalidMachineIndex for assignments that are not valid
     schedules.
     """
     loads(instance, schedule)  # raises unless the schedule is valid
-    current = [0] * instance.machine_count
     path = [root(instance)]
-    prefix = tuple(schedule)
-    for level, machine in enumerate(schedule, 1):
-        current[machine - 1] += instance.processing_times[level - 1]
-        path.append(TreeNode(level, prefix[:level], tuple(current)))
+    for machine in schedule:
+        path.append(_child(instance, path[-1], machine))
     return path
 
 

@@ -33,6 +33,15 @@ REJECT_ABOVE_THRESHOLD = "reject_above_threshold"
 REASON_LENGTH_MISMATCH = "length_mismatch"
 REASON_BAD_MACHINE_INDEX = "machine_index_out_of_range"
 
+# The detail fields each verdict code carries, in the order describe() prints
+# them after the code.
+_DETAILS = {
+    ACCEPT: (),
+    REJECT_INVALID_SCHEDULE: ("reason",),
+    REJECT_WRONG_MAKESPAN: ("claimed", "actual"),
+    REJECT_ABOVE_THRESHOLD: ("actual", "threshold"),
+}
+
 
 @dataclass(frozen=True, slots=True)
 class Certificate:
@@ -58,30 +67,10 @@ class Verdict:
     def accepted(self) -> bool:
         return self.code == ACCEPT
 
-    @classmethod
-    def accept(cls) -> "Verdict":
-        return cls(ACCEPT)
-
-    @classmethod
-    def invalid_schedule(cls, reason: str) -> "Verdict":
-        return cls(REJECT_INVALID_SCHEDULE, reason=reason)
-
-    @classmethod
-    def wrong_makespan(cls, claimed: int, actual: int) -> "Verdict":
-        return cls(REJECT_WRONG_MAKESPAN, claimed=claimed, actual=actual)
-
-    @classmethod
-    def above_threshold(cls, actual: int, threshold: int) -> "Verdict":
-        return cls(REJECT_ABOVE_THRESHOLD, actual=actual, threshold=threshold)
-
     def describe(self) -> str:
-        if self.code == ACCEPT:
-            return ACCEPT
-        if self.code == REJECT_INVALID_SCHEDULE:
-            return f"{self.code} reason={self.reason}"
-        if self.code == REJECT_WRONG_MAKESPAN:
-            return f"{self.code} claimed={self.claimed} actual={self.actual}"
-        return f"{self.code} actual={self.actual} threshold={self.threshold}"
+        return " ".join(
+            [self.code] + [f"{name}={getattr(self, name)}" for name in _DETAILS[self.code]]
+        )
 
 
 def verify_certificate(
@@ -100,15 +89,15 @@ def verify_certificate(
     try:
         actual = max(loads(instance, cert.schedule))
     except LengthMismatch:
-        return Verdict.invalid_schedule(REASON_LENGTH_MISMATCH)
+        return Verdict(REJECT_INVALID_SCHEDULE, reason=REASON_LENGTH_MISMATCH)
     except InvalidMachineIndex:
-        return Verdict.invalid_schedule(REASON_BAD_MACHINE_INDEX)
+        return Verdict(REJECT_INVALID_SCHEDULE, reason=REASON_BAD_MACHINE_INDEX)
     # True == 1 and 3.0 == 3, but a leaf weight is always a plain int
     if type(cert.claimed_makespan) is not int or cert.claimed_makespan != actual:
-        return Verdict.wrong_makespan(cert.claimed_makespan, actual)
+        return Verdict(REJECT_WRONG_MAKESPAN, claimed=cert.claimed_makespan, actual=actual)
     if actual > threshold:
-        return Verdict.above_threshold(actual, threshold)
-    return Verdict.accept()
+        return Verdict(REJECT_ABOVE_THRESHOLD, actual=actual, threshold=threshold)
+    return Verdict(ACCEPT)
 
 
 def prove(

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from makespan import branch_and_bound, decide_partition, make_instance, PartitionInstance
-from makespan import cli
+from makespan import cli, solver
 from makespan.cli import main
 from makespan.files import (
     MAX_MACHINES,
@@ -22,7 +22,6 @@ from makespan.files import (
     load_instance,
     parse_certificate,
     parse_instance,
-    parse_mumpsp,
     parse_partition,
 )
 
@@ -81,14 +80,37 @@ class TestFiles:
         assert parse_instance({"machines": MAX_MACHINES, "jobs": [1]}).machine_count == MAX_MACHINES
         with pytest.raises(FileFormatError, match="machines: at most"):
             parse_instance({"machines": MAX_MACHINES + 1, "jobs": [1]})
-        with pytest.raises(FileFormatError, match="machines: at most"):
-            parse_mumpsp({"machines": MAX_MACHINES + 1, "users": [[1]]})
 
-    def test_mumpsp(self):
-        parsed = parse_mumpsp({"machines": 2, "users": [[1, 2], [3]]})
-        assert parsed.user_job_lists == ((1, 2), (3,))
-        with pytest.raises(FileFormatError):
-            parse_mumpsp({"machines": 2, "users": "nope"})
+    # `renamed` has its first field renamed, so that field is both unknown
+    # and missing; `invalid` passes the reader but not the builder
+    @pytest.mark.parametrize(
+        "parse,kind,renamed,invalid",
+        [
+            (
+                parse_instance,
+                "instance",
+                {"machine": 2, "jobs": [1]},
+                ({"machines": 1, "jobs": [1]}, "machine count must be >= 2, got 1"),
+            ),
+            (
+                parse_partition,
+                "partition",
+                {"weight": [1]},
+                ({"weights": [2, 0]}, "weight 2 must be >= 1, got 0"),
+            ),
+            (parse_certificate, "certificate", {"makespans": 1, "assignment": [1]}, None),
+        ],
+    )
+    def test_every_reader_checks_its_object(self, parse, kind, renamed, invalid):
+        with pytest.raises(FileFormatError, match=rf"^{kind} file: expected a JSON object$"):
+            parse([renamed])
+        unknown = next(iter(renamed))
+        with pytest.raises(FileFormatError, match=rf"^{kind} file: unknown field '{unknown}'$"):
+            parse(renamed)
+        if invalid is not None:
+            data, message = invalid
+            with pytest.raises(FileFormatError, match=rf"^{kind} file: {message}$"):
+                parse(data)
 
     def test_certificate(self):
         cert = parse_certificate({"assignment": [1, 2], "makespan": 4})
@@ -218,9 +240,9 @@ class TestSolve:
 
     def test_threads_default_is_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert cli._cpu_count() == len(os.sched_getaffinity(0))
+            assert solver._cpu_count() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert cli._cpu_count() == (os.cpu_count() or 1)
+        assert solver._cpu_count() == (os.cpu_count() or 1)
 
     def test_parse_error_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -425,6 +447,12 @@ class TestExitCodeBoundary:
                 ["gen", "--seed", "1", "--m", str(2**62), "--n", "2", "--pmax", "3"],
                 id="gen-2**62-machines",
             ),
+            # the job list is never built
+            pytest.param(
+                b"",
+                ["gen", "--seed", "1", "--m", "2", "--n", str(2**62), "--pmax", "3"],
+                id="gen-2**62-jobs",
+            ),
             pytest.param(
                 b"",
                 ["gen", "--seed", "1", "--m", "2", "--n", "3", "--pmax", "9" * 4300],
@@ -459,8 +487,9 @@ class TestExitCodeBoundary:
 # parser.  Integers stay within 10**6, because every load vector has one entry
 # per machine and a machine count of 10**6 still loads (see
 # test_huge_machine_count below for what does not).  Partition weights and
-# count and gen flags reach past the interpreter's 4300-digit limit, and the
-# gen machine count past files.MAX_MACHINES; what gen prints must load.
+# count and gen flags reach past the interpreter's 4300-digit limit, the gen
+# machine count past files.MAX_MACHINES and the gen job count past
+# cli.MAX_GEN_JOBS; what gen prints must load.
 def _encoded(value) -> bytes:
     return json.dumps(value).encode()
 
@@ -510,7 +539,7 @@ class TestAnyFile:
         m=st.integers(2, 2**16),
         n=st.integers(1, 20000),
         gen_m=st.integers(2, 2**62),
-        gen_n=st.integers(1, 50),
+        gen_n=st.integers(1, 50) | st.integers(cli.MAX_GEN_JOBS + 1, 2**62),
         pmax=st.integers(1, 10**4300 - 1),
     )
     @settings(max_examples=300, deadline=None)
@@ -542,6 +571,7 @@ class TestAnyFile:
                 code = main(argv)
         assert code in (0, 1, 2, 3)
         if command == "gen" and code == 0:
+            assert gen_n <= 50
             parse_instance(json.loads(out.getvalue()))
 
     def test_huge_machine_count(self, capsys, tmp_path):

@@ -97,6 +97,38 @@ class TestBruteForce:
         instance = make_instance(2, [rng.randint(1, 20) for _ in range(10)])
         assert brute_force_opt(instance, workers=4) == brute_force_opt(instance)
 
+    def test_pool_clamped_to_usable_cpus(self, monkeypatch):
+        # a recording stand-in for the pool, so that no process starts
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(solver_module, "_PARALLEL_MIN_LEAVES", 64)
+        rng = random.Random(9)
+        instance = make_instance(2, [rng.randint(1, 20) for _ in range(10)])
+        expected = brute_force_opt(instance)
+        monkeypatch.setattr(solver_module, "_cpu_count", lambda: 3)
+        assert brute_force_opt(instance, workers=100_000) == expected
+        assert started == [3]
+        # with one usable CPU the scan stays in this process
+        monkeypatch.setattr(solver_module, "_cpu_count", lambda: 1)
+        assert brute_force_opt(instance, workers=100_000) == expected
+        assert started == [3]
+
 
 class TestBranchAndBound:
     def test_demo_instance(self, demo_instance):

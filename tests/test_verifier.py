@@ -37,6 +37,25 @@ class TestVerifyCertificate:
         assert verdict.accepted
         assert verdict.describe() == "accept"
 
+    @pytest.mark.parametrize(
+        "cert,threshold,line",
+        [
+            (Certificate((1, 1, 2), 3), 3, "accept"),
+            (Certificate((1, 1), 2), 9, "reject_invalid_schedule reason=length_mismatch"),
+            (
+                Certificate((1, 3, 1), 4),
+                9,
+                "reject_invalid_schedule reason=machine_index_out_of_range",
+            ),
+            (Certificate((1, 1, 2), 2), 3, "reject_wrong_makespan claimed=2 actual=3"),
+            (Certificate((1, 1, 2), None), 3, "reject_wrong_makespan claimed=None actual=3"),
+            (Certificate((1, 1, 2), True), 3, "reject_wrong_makespan claimed=True actual=3"),
+            (Certificate((1, 1, 1), 5), 3, "reject_above_threshold actual=5 threshold=3"),
+        ],
+    )
+    def test_describe_every_variant(self, demo_instance, cert, threshold, line):
+        assert verify_certificate(demo_instance, cert, threshold).describe() == line
+
     def test_wrong_makespan(self, demo_instance):
         verdict = verify_certificate(demo_instance, Certificate((1, 1, 2), 2), 3)
         assert verdict.code == REJECT_WRONG_MAKESPAN
