@@ -21,9 +21,10 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# gen builds its whole job list before the file rules see it, so the job
-# count is refused first above this bound.
+# gen holds its whole job list and printed file before the file rules see
+# them, so it refuses first more jobs, or more printed characters, than these.
 MAX_GEN_JOBS = 1 << 20
+MAX_GEN_CHARS = 1 << 24
 
 BUDGET_HELP = "most leaves the brute-force scan may price, or nodes the pruned search may generate"
 
@@ -113,6 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.n > MAX_GEN_JOBS:
         raise DomainError(f"--n: at most {MAX_GEN_JOBS}, got {args.n}")
+    # up to n jobs of pmax's digits plus a comma; 2**10 > 10**3 counts them from below
+    chars = args.n * ((args.pmax.bit_length() - 1) * 3 // 10 + 2)
+    if chars > MAX_GEN_CHARS:
+        raise DomainError(f"--n times --pmax's digits: at most {MAX_GEN_CHARS} characters, got {chars}")
     rng = random.Random(args.seed)
     jobs = [rng.randint(1, args.pmax) for _ in range(args.n)]
     # the file rules refuse what the other commands could not load

@@ -7,6 +7,9 @@ every parse failure names the offending field:
     partition    {"weights": [int, ...]}
     certificate  {"assignment": [int, ...], "makespan": int}
     multi-user   {"machines": int, "users": [[int, ...], ...]}   (written only)
+
+Files check JSON shape and the digit rule; builders check every value.
+`Certificate` validates nothing, so its fields are checked here.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ from .model import Instance, InvalidInstance, SchedulingError, make_instance
 from .reductions import MumpspInstance, PartitionInstance
 from .verifier import Certificate
 
-# Every load vector has one entry per machine, so a file may name at most
-# this many machines: 8 MiB of pointers per vector.
-MAX_MACHINES = 1 << 20
-
 
 class FileFormatError(SchedulingError):
     """A file or JSON object does not match its schema."""
@@ -35,17 +34,14 @@ def _int(value: Any, where: str) -> int:
     return value
 
 
-def _int_list(value: Any, where: str) -> list[int]:
+def _list(value: Any, where: str) -> list:
     if not isinstance(value, list):
         raise FileFormatError(f"{where}: expected a list of integers")
-    return [_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    return value
 
 
-def _machines(value: Any, where: str) -> int:
-    machines = _int(value, where)
-    if machines > MAX_MACHINES:
-        raise FileFormatError(f"{where}: at most {MAX_MACHINES}, got {machines}")
-    return machines
+def _int_list(value: Any, where: str) -> list[int]:
+    return [_int(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))]
 
 
 def _check_printable(
@@ -67,14 +63,6 @@ def _check_printable(
         exponent * (bits - 1) >= 4 * limit or base**exponent >= 10**limit
     ):
         raise error(f"{what} has more than {limit} digits")
-
-
-def _summed_list(value: Any, where: str) -> list[int]:
-    """A list of integers whose total, like every load printed from it, stays
-    printable."""
-    values = _int_list(value, where)
-    _check_printable(sum(values), f"{where}: total")
-    return values
 
 
 def _parse(
@@ -99,11 +87,15 @@ def _parse(
 
 
 def parse_instance(data: Any) -> Instance:
-    return _parse("instance", data, {"machines": _machines, "jobs": _summed_list}, make_instance)
+    instance = _parse("instance", data, {"machines": _int, "jobs": _list}, make_instance)
+    _check_printable(instance.total_work, "jobs: total")
+    return instance
 
 
 def parse_partition(data: Any) -> PartitionInstance:
-    return _parse("partition", data, {"weights": _summed_list}, PartitionInstance)
+    partition = _parse("partition", data, {"weights": _list}, PartitionInstance)
+    _check_printable(partition.total_weight, "weights: total")
+    return partition
 
 
 def parse_certificate(data: Any) -> Certificate:

@@ -19,14 +19,18 @@ from typing import Iterable, Sequence
 # A complete schedule: entry i-1 names the machine (1..m) running job i.
 Schedule = tuple[int, ...]
 
+# Every load vector has one entry per machine, so an instance may have at
+# most this many machines: 8 MiB of pointers per vector.
+MAX_MACHINES = 1 << 20
+
 
 class SchedulingError(Exception):
     """Base class for every error raised by this package."""
 
 
 class InvalidInstance(SchedulingError):
-    """Instance parameters violate the model (m < 2, no jobs, or p < 1), or
-    an operation defined for two machines got another count."""
+    """Instance parameters violate the model (m < 2 or m > 2^20, no jobs, or
+    p < 1), or an operation defined for two machines got another count."""
 
 
 class InvalidSchedule(SchedulingError):
@@ -77,7 +81,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "processing_times", tuple(self.processing_times))
-        _int_at_least(self.machine_count, 2, "machine count")
+        m = _int_at_least(self.machine_count, 2, "machine count")
+        if m > MAX_MACHINES:
+            raise InvalidInstance(f"machine count must be <= {MAX_MACHINES}, got {m}")
         if not self.processing_times:
             raise InvalidInstance("need at least one job")
         for i, p in enumerate(self.processing_times, 1):
@@ -93,11 +99,8 @@ class Instance:
 
 
 def make_instance(machine_count: int, processing_times: Iterable[int]) -> Instance:
-    """Validate and build an :class:`Instance`.
-
-    Raises InvalidInstance when machine_count < 2, the job list is empty, or
-    any processing time is < 1.
-    """
+    """Validate and build an :class:`Instance`: raises InvalidInstance unless
+    2 <= machine_count <= MAX_MACHINES and there are jobs, each an int >= 1."""
     return Instance(machine_count, tuple(processing_times))
 
 

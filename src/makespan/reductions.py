@@ -175,10 +175,7 @@ def mpsp_to_mumpsp(instance: Instance) -> MumpspInstance:
 
 def mumpsp_flatten(instance: MumpspInstance) -> Instance:
     """Forget user boundaries: the plain instance over all jobs in user order."""
-    times: list[int] = []
-    for jobs in instance.user_job_lists:
-        times.extend(jobs)
-    return make_instance(instance.machine_count, times)
+    return make_instance(instance.machine_count, [p for jobs in instance.user_job_lists for p in jobs])
 
 
 def mumpsp_user_makespans(

@@ -15,7 +15,6 @@ from makespan import branch_and_bound, decide_partition, make_instance, Partitio
 from makespan import cli, solver
 from makespan.cli import main
 from makespan.files import (
-    MAX_MACHINES,
     FileFormatError,
     dump_json,
     load_certificate,
@@ -24,6 +23,7 @@ from makespan.files import (
     parse_instance,
     parse_partition,
 )
+from makespan.model import MAX_MACHINES
 
 
 @pytest.fixture
@@ -60,7 +60,7 @@ class TestFiles:
             parse_instance({"machines": 2})
 
     def test_field_precise_type_error(self):
-        with pytest.raises(FileFormatError, match=r"jobs\[1\]"):
+        with pytest.raises(FileFormatError, match=r"processing time of job 2"):
             parse_instance({"machines": 2, "jobs": [1, "x"]})
 
     def test_bool_rejected(self):
@@ -76,9 +76,15 @@ class TestFiles:
         with pytest.raises(FileFormatError):
             parse_partition({"weights": [0]})
 
+    def test_partition_weight_named_by_its_builder(self):
+        with pytest.raises(
+            FileFormatError, match=r"^partition file: weight 2 must be an integer, got 'x'$"
+        ):
+            parse_partition({"weights": [1, "x"]})
+
     def test_machine_count_bound(self):
         assert parse_instance({"machines": MAX_MACHINES, "jobs": [1]}).machine_count == MAX_MACHINES
-        with pytest.raises(FileFormatError, match="machines: at most"):
+        with pytest.raises(FileFormatError, match=r"machine count must be <= \d+, got"):
             parse_instance({"machines": MAX_MACHINES + 1, "jobs": [1]})
 
     # `renamed` has its first field renamed, so that field is both unknown
@@ -453,6 +459,12 @@ class TestExitCodeBoundary:
                 ["gen", "--seed", "1", "--m", "2", "--n", str(2**62), "--pmax", "3"],
                 id="gen-2**62-jobs",
             ),
+            # 2**20 jobs of up to 16 digits and a comma pass 2**24 characters
+            pytest.param(
+                b"",
+                ["gen", "--seed", "1", "--m", "2", "--n", str(2**20), "--pmax", "9" * 16],
+                id="gen-2**24-characters",
+            ),
             pytest.param(
                 b"",
                 ["gen", "--seed", "1", "--m", "2", "--n", "3", "--pmax", "9" * 4300],
@@ -488,8 +500,9 @@ class TestExitCodeBoundary:
 # per machine and a machine count of 10**6 still loads (see
 # test_huge_machine_count below for what does not).  Partition weights and
 # count and gen flags reach past the interpreter's 4300-digit limit, the gen
-# machine count past files.MAX_MACHINES and the gen job count past
-# cli.MAX_GEN_JOBS; what gen prints must load.
+# machine count past model.MAX_MACHINES, the gen job count past
+# cli.MAX_GEN_JOBS and the jobs' printed size past cli.MAX_GEN_CHARS; what gen
+# prints must load.
 def _encoded(value) -> bytes:
     return json.dumps(value).encode()
 
@@ -518,6 +531,19 @@ _certificate_file = st.one_of(
     ).map(_encoded),
     _garbage,
 )
+# (--n, --pmax): a short list, too many jobs, or jobs too long to print.  A
+# pmax of b bits has more than (b - 1) // 4 digits, so the last kind passes
+# the character bound by any count of the digits.
+_gen_size = st.one_of(
+    st.tuples(st.integers(1, 50), st.integers(1, 10**4300 - 1)),
+    st.tuples(st.integers(cli.MAX_GEN_JOBS + 1, 2**62), st.integers(1, 10**4300 - 1)),
+    st.integers(69, 14000).flatmap(
+        lambda b: st.tuples(
+            st.integers(cli.MAX_GEN_CHARS // ((b - 1) // 4) + 1, cli.MAX_GEN_JOBS),
+            st.integers(2 ** (b - 1), 2**b - 1),
+        )
+    ),
+)
 _partition_file = st.one_of(
     st.fixed_dictionaries(
         {"weights": st.lists(st.integers(-1, 20) | st.integers(1, 10**4300 - 1), max_size=8)}
@@ -539,13 +565,13 @@ class TestAnyFile:
         m=st.integers(2, 2**16),
         n=st.integers(1, 20000),
         gen_m=st.integers(2, 2**62),
-        gen_n=st.integers(1, 50) | st.integers(cli.MAX_GEN_JOBS + 1, 2**62),
-        pmax=st.integers(1, 10**4300 - 1),
+        gen_size=_gen_size,
     )
     @settings(max_examples=300, deadline=None)
     def test_exit_code_in_contract(
-        self, instance, certificate, partition, command, threshold, level, m, n, gen_m, gen_n, pmax
+        self, instance, certificate, partition, command, threshold, level, m, n, gen_m, gen_size
     ):
+        gen_n, pmax = gen_size
         with tempfile.TemporaryDirectory() as tmp:
             inst, cert = Path(tmp) / "instance.json", Path(tmp) / "certificate.json"
             part = Path(tmp) / "partition.json"

@@ -19,6 +19,7 @@ from makespan import (
     schedule_from_job_sets,
     theoretical_opt,
 )
+from makespan.model import MAX_MACHINES
 
 
 @st.composite
@@ -71,6 +72,11 @@ class TestMakeInstance:
     def test_direct_construction_validates_too(self):
         with pytest.raises(InvalidInstance):
             Instance(0, (1,))
+
+    def test_machine_count_bound(self):
+        assert make_instance(MAX_MACHINES, [1]).machine_count == MAX_MACHINES
+        with pytest.raises(InvalidInstance, match=f"machine count must be <= {MAX_MACHINES}"):
+            make_instance(MAX_MACHINES + 1, [1])
 
 
 class TestLoads:

@@ -289,6 +289,10 @@ class TestMagicSchedule:
         with pytest.raises(InvalidInstance):
             magic_schedule(make_instance(3, [1, 2, 3]))
 
+    def test_exhaustive_strategy_not_two_machines(self):
+        with pytest.raises(InvalidInstance, match="needs 2 machines, got 3"):
+            list(exhaustive_strategy(make_instance(3, [1, 2, 3])))
+
     def test_exhaustive_iff_balanced_split_exists(self):
         rng = random.Random(23)
         for _ in range(80):

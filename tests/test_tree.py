@@ -212,6 +212,12 @@ class TestToDot:
         with pytest.raises(DomainError):
             to_dot(demo_instance, 4)
 
+    def test_more_than_eight_jobs_counts_the_unassigned(self):
+        text = to_dot(make_instance(2, list(range(1, 10))), 1)
+        assert "+9 unassigned" in text
+        assert text.count("+8 unassigned") == 2
+        assert "J2/-" not in text
+
 
 @st.composite
 def instance_and_schedule(draw):
