@@ -166,12 +166,14 @@ def job_sets(instance: Instance, schedule: Sequence[int]) -> list[set[int]]:
 def schedule_from_job_sets(job_sets_: Sequence[Iterable[int]]) -> Schedule:
     """Build a schedule from per-machine job sets (machine j = entry j-1).
 
-    The sets must be pairwise disjoint and cover 1..n exactly; raises
-    InvalidSchedule otherwise.
+    The sets must hold plain int job ids (so not True or 1.0), be pairwise
+    disjoint and cover 1..n exactly; raises InvalidSchedule otherwise.
     """
     assignment: dict[int, int] = {}
     for machine, jobs in enumerate(job_sets_, 1):
         for job in jobs:
+            if type(job) is not int:
+                raise InvalidSchedule(f"job id {job!r} is not an integer")
             if job in assignment:
                 raise InvalidSchedule(f"job {job} appears on more than one machine")
             assignment[job] = machine

@@ -123,19 +123,16 @@ def decide_partition(
 
 def schedule_to_partition(schedule: Sequence[int]) -> tuple[set[int], set[int]]:
     """Read a two-machine schedule as (jobs on machine 1, jobs on machine 2),
-    as sets of 1-based indices.  Raises InvalidMachineIndex on any other
-    machine index."""
+    as sets of 1-based indices.  Raises InvalidMachineIndex on any entry that
+    is not the plain int 1 or 2 (so not True or 2.0, as in loads)."""
     first: set[int] = set()
     second: set[int] = set()
     for job, machine in enumerate(schedule, 1):
-        if machine == 1:
-            first.add(job)
-        elif machine == 2:
-            second.add(job)
-        else:
+        if type(machine) is not int or machine not in (1, 2):
             raise InvalidMachineIndex(
-                f"job {job} assigned to machine {machine}; expected 1 or 2"
+                f"job {job} assigned to machine {machine!r}; expected 1 or 2"
             )
+        (first if machine == 1 else second).add(job)
     return first, second
 
 
@@ -206,8 +203,9 @@ def mumpsp_user_makespans(
         for entry in row:
             try:
                 user, index = entry
-                known = (user, index) in expected
-            except (TypeError, ValueError):  # not a hashable (user, index) pair
+                # plain ints only: (1.0, 1) and (True, 1) both equal (1, 1)
+                known = type(user) is type(index) is int and (user, index) in expected
+            except (TypeError, ValueError):  # not a (user, index) pair
                 known = False
             if not known:
                 raise InvalidSchedule(f"unknown job {entry!r}, expected (user, index)")

@@ -4,12 +4,13 @@
 lexicographically least optimal schedule.  ``_search`` is the one pruned
 search: identical-machine symmetry breaking, an LPT incumbent, a cut at the
 incumbent, a wasted-space cut and a stop at the lower bound.
-``branch_and_bound`` and the verifier's ``prove`` and ``decide`` run it, and
-it returns the same optimum as the full scan.  ``magic_schedule`` is the
-two-machine balanced-split procedure: it succeeds only when a schedule's
-makespan equals the ideal half-total exactly, with the nondeterministic
-choice of partition supplied as an explicit, testable strategy (exhaustive
-search, a fixed certificate, or random sampling).
+``branch_and_bound``, ``exhaustive_strategy`` and the verifier's ``prove``
+and ``decide`` run it, and it returns the same optimum as the full scan.
+``magic_schedule`` is the two-machine balanced-split procedure: it succeeds
+only when a schedule's makespan equals the ideal half-total exactly, with the
+nondeterministic choice of partition supplied as an explicit, testable
+strategy (the least balanced split from the search, a fixed certificate, or
+random sampling).
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def _lpt_makespan(m: int, times: Iterable[int]) -> int:
 def _search(
     m: int, times: tuple[int, ...], threshold: int, node_budget: int
 ) -> SolveResult:
-    """The pruned depth-first search over the assignment tree.
+    """The pruned depth-first search over the assignment tree, behind
+    branch_and_bound, exhaustive_strategy, prove and decide.
 
     Returns the lexicographically least schedule of least makespan at most
     `threshold`, or best_schedule () when there is none.  The incumbent
@@ -314,14 +316,12 @@ SelectPartitionStrategy = Callable[[Instance], Iterable[Schedule]]
 
 
 def exhaustive_strategy(instance: Instance) -> Iterator[Schedule]:
-    """Stream every balanced split, lexicographically least first.
+    """Yield the lexicographically least balanced split, if there is one.
 
-    Depth-first over the assignment tree, cutting any branch whose load
-    already exceeds half the total work; since loads only grow, the surviving
-    leaves are exactly the schedules with both loads equal to half the total.
-    Yields nothing when the total is odd.  Raises BudgetExceeded once the
-    walk has generated more than DEFAULT_LEAF_BUDGET nodes, counted as in the
-    pruned search.
+    A balanced split is a schedule of makespan at most total/2, so the pruned
+    search at that threshold finds the least one.  Yields nothing when the
+    total is odd or no split balances.  Raises BudgetExceeded once the search
+    generates more than DEFAULT_LEAF_BUDGET nodes.
     """
     if instance.machine_count != 2:
         raise InvalidInstance(
@@ -330,30 +330,9 @@ def exhaustive_strategy(instance: Instance) -> Iterator[Schedule]:
     total = instance.total_work
     if total % 2:
         return
-    half = total // 2
-    times = instance.processing_times
-    n = len(times)
-    assign = [0] * n
-    node_budget = DEFAULT_LEAF_BUDGET
-    generated = 0
-
-    def walk(level: int, load_one: int, load_two: int) -> Iterator[Schedule]:
-        nonlocal generated
-        if level == n:
-            yield tuple(assign)
-            return
-        generated += 2
-        if generated > node_budget:
-            raise BudgetExceeded(f"the walk generated more than {node_budget} nodes")
-        p = times[level]
-        if load_one + p <= half:
-            assign[level] = 1
-            yield from walk(level + 1, load_one + p, load_two)
-        if load_two + p <= half:
-            assign[level] = 2
-            yield from walk(level + 1, load_one, load_two + p)
-
-    yield from walk(0, 0, 0)
+    result = _search(2, instance.processing_times, total // 2, DEFAULT_LEAF_BUDGET)
+    if result.best_schedule:
+        yield result.best_schedule
 
 
 def certificate_strategy(schedule: Iterable[int]) -> SelectPartitionStrategy:

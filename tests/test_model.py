@@ -151,6 +151,11 @@ class TestJobSets:
         with pytest.raises(InvalidSchedule):
             schedule_from_job_sets([{1}, {3}])
 
+    @pytest.mark.parametrize("sets", [[{True}, {2}], [{1}, {2.0}]])
+    def test_non_int_job_rejected(self, sets):
+        with pytest.raises(InvalidSchedule, match="is not an integer"):
+            schedule_from_job_sets(sets)
+
 
 class TestInvariants:
     @given(instances_with_schedule())

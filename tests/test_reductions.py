@@ -114,9 +114,10 @@ class TestScheduleToPartition:
     def test_swapped(self):
         assert schedule_to_partition((2, 1)) == ({2}, {1})
 
-    def test_not_two_machines(self):
+    @pytest.mark.parametrize("schedule", [(1, 3, 1), (1, True), (1, 2.0)])
+    def test_not_two_machines(self, schedule):
         with pytest.raises(InvalidMachineIndex):
-            schedule_to_partition((1, 3, 1))
+            schedule_to_partition(schedule)
 
 
 class TestSubsetSumOracle:
@@ -216,7 +217,9 @@ class TestUserMakespans:
         with pytest.raises(InvalidSchedule):
             mumpsp_user_makespans(instance, (((1, 1), (1, 2)), ((2, 1),)))
 
-    @pytest.mark.parametrize("entry", [(1,), 5, (1, 2, 3), ([1], 2)])
+    @pytest.mark.parametrize(
+        "entry", [(1,), 5, (1, 2, 3), ([1], 2), (1.0, 2), (True, 2), (1, 2.0)]
+    )
     def test_malformed_entry(self, entry):
         instance = MumpspInstance(2, ((1, 2),))
         with pytest.raises(InvalidSchedule):

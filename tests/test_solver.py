@@ -312,7 +312,7 @@ class TestMagicSchedule:
 
     def test_exhaustive_node_budget(self, monkeypatch):
         # every weight is even but half the total, 21, is odd: no balanced
-        # split, and the walk would generate about a million nodes
+        # split, and the search would generate about 47 k nodes
         instance = make_instance(2, [2] * 19 + [4])
         monkeypatch.setattr(solver_module, "DEFAULT_LEAF_BUDGET", 1000)
         with pytest.raises(BudgetExceeded):
@@ -324,3 +324,23 @@ class TestMagicSchedule:
         instance = make_instance(2, [1, 1, 2, 2])
         for candidate in exhaustive_strategy(instance):
             assert loads(instance, candidate) == [3, 3]
+
+    def test_exhaustive_strategy_yields_least_balanced_split(self):
+        rng = random.Random(31)
+        # odd total, a job longer than half, n=1, and wide-time yes cases
+        cases = [[3, 1, 1], [1, 1, 6], [4], [7], [2, 2]]
+        cases += [[10**6, 10**6], [999_999, 1, 999_997, 3]]
+        for high in (3, 10**6):
+            cases += [
+                [rng.randint(1, high) for _ in range(rng.randint(1, 12))]
+                for _ in range(40)
+            ]
+        for times in cases:
+            half, odd = divmod(sum(times), 2)
+            balanced = [
+                assign
+                for assign in product((1, 2), repeat=len(times))
+                if not odd and sum(p for p, j in zip(times, assign) if j == 1) == half
+            ]
+            expected = [min(balanced)] if balanced else []
+            assert list(exhaustive_strategy(make_instance(2, times))) == expected
