@@ -41,7 +41,11 @@ def _list(value: Any, where: str) -> list:
 
 
 def _int_list(value: Any, where: str) -> list[int]:
-    return [_int(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))]
+    values = _list(value, where)
+    for i, v in enumerate(values):
+        if type(v) is not int:  # name the entry only when it may fail
+            _int(v, f"{where}[{i}]")
+    return values
 
 
 def _check_printable(

@@ -87,7 +87,8 @@ class Instance:
         if not self.processing_times:
             raise InvalidInstance("need at least one job")
         for i, p in enumerate(self.processing_times, 1):
-            _int_at_least(p, 1, f"processing time of job {i}")
+            if type(p) is not int or p < 1:  # name the entry only when it fails
+                _int_at_least(p, 1, f"processing time of job {i}")
 
     @property
     def job_count(self) -> int:

@@ -55,7 +55,8 @@ class PartitionInstance:
         if not self.weights:
             raise InvalidInstance("need at least one weight")
         for i, w in enumerate(self.weights, 1):
-            _int_at_least(w, 1, f"weight {i}")
+            if type(w) is not int or w < 1:  # name the entry only when it fails
+                _int_at_least(w, 1, f"weight {i}")
 
     @property
     def total_weight(self) -> int:

@@ -39,6 +39,21 @@ def oracle_min_makespan(m, times):
     return best, best_assign
 
 
+def oracle_below_prefix(m, times, prefix):
+    """The oracle's product scan, restricted to the leaves under `prefix`."""
+    best = None
+    best_assign = None
+    for rest in product(range(1, m + 1), repeat=len(times) - len(prefix)):
+        assign = prefix + rest
+        machine_loads = [0] * m
+        for p, j in zip(times, assign):
+            machine_loads[j - 1] += p
+        value = max(machine_loads)
+        if best is None or value < best:
+            best, best_assign = value, assign
+    return best, best_assign
+
+
 def half_sum_reachable(times):
     """Independent subset-sum check via a plain set of achievable sums."""
     total = sum(times)
@@ -93,9 +108,13 @@ class TestBruteForce:
 
     def test_parallel_matches_sequential(self, monkeypatch):
         monkeypatch.setattr(solver_module, "_PARALLEL_MIN_LEAVES", 64)
+        monkeypatch.setattr(solver_module, "_cpu_count", lambda: 2)
         rng = random.Random(9)
-        instance = make_instance(2, [rng.randint(1, 20) for _ in range(10)])
-        assert brute_force_opt(instance, workers=4) == brute_force_opt(instance)
+        # two workers scan the prefixes (1,) and (2,); at n=14 each subtree
+        # has 2 head nodes above its 11-job tail table, at n=10 one
+        for n in (10, 14):
+            instance = make_instance(2, [rng.randint(1, 20) for _ in range(n)])
+            assert brute_force_opt(instance, workers=4) == brute_force_opt(instance)
 
     def test_pool_clamped_to_usable_cpus(self, monkeypatch):
         # a recording stand-in for the pool, so that no process starts
@@ -128,6 +147,55 @@ class TestBruteForce:
         monkeypatch.setattr(solver_module, "_cpu_count", lambda: 1)
         assert brute_force_opt(instance, workers=100_000) == expected
         assert started == [3]
+
+
+class TestScanSubtree:
+    """The full scan below a prefix, against the oracle's product scan."""
+
+    def check(self, m, times, prefix):
+        expected = oracle_below_prefix(m, tuple(times), prefix)
+        assert solver_module._scan_subtree(m, tuple(times), prefix) == expected
+
+    def test_head_nodes_below_the_prefix(self):
+        # at m=2 the tail table holds 11 jobs, so n = 13-15 with a prefix of
+        # at most n - 13 jobs leaves head levels between prefix and tail
+        rng = random.Random(41)
+        for n in (13, 14, 15):
+            for depth in range(n - 12):
+                times = [rng.randint(1, rng.choice((3, 10**6))) for _ in range(n)]
+                self.check(2, times, tuple(rng.randint(1, 2) for _ in range(depth)))
+
+    def test_no_tail_jobs(self):
+        # from m=65 on, m^2 > 2^12: no job but the last fits in the table
+        rng = random.Random(43)
+        for m in (65, 66, 70):
+            times = [rng.randint(1, 50) for _ in range(2)]
+            self.check(m, times, ())
+            self.check(m, times, (rng.randint(1, m),))
+
+    def test_prefix_of_all_but_the_last_job(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            m = rng.randint(2, 5)
+            n = rng.randint(1, 6)
+            times = [rng.randint(1, 30) for _ in range(n)]
+            self.check(m, times, tuple(rng.randint(1, m) for _ in range(n - 1)))
+
+    def test_equal_times_break_ties_lexicographically(self):
+        rng = random.Random(53)
+        for m, n in ((2, 13), (2, 6), (3, 7), (4, 5), (70, 2)):
+            for depth in (0, 1, n - 1):
+                prefix = tuple(rng.randint(1, m) for _ in range(depth))
+                self.check(m, [7] * n, prefix)
+
+    def test_random_prefixes(self):
+        rng = random.Random(59)
+        for _ in range(60):
+            m = rng.randint(2, 5)
+            n = rng.randint(1, {2: 14, 3: 8, 4: 6, 5: 5}[m])
+            times = [rng.randint(1, rng.choice((2, 100, 10**9))) for _ in range(n)]
+            depth = rng.randint(0, n - 1)
+            self.check(m, times, tuple(rng.randint(1, m) for _ in range(depth)))
 
 
 class TestBranchAndBound:
