@@ -2,13 +2,15 @@
 decision, reductions, and DOT export.
 
 Exit codes are stable so shell pipelines can branch on them:
-0 success / accept / yes, 1 reject / no, 2 usage or parse error,
-3 exploration budget exceeded.
+0 success / accept / yes, 1 reject / no, 2 usage or parse error or a
+closed stdout, 3 exploration budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import random
 import sys
 
@@ -41,7 +43,18 @@ def _at_least(low: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call in the process.
+
+    Sharing is safe because parsing leaves the parser as it found it: every
+    default is immutable, the `_at_least` type closures are pure, `--threads`
+    is resolved when the command runs, and each subcommand dispatches through
+    `set_defaults(func=...)`, which nothing patches.  Each parse_args call
+    fills a fresh Namespace, so no value carries over from one call to the
+    next.  Every caller gets the same object, so none may add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="makespan",
         description="Exact workbench for makespan scheduling on identical parallel machines.",
@@ -222,19 +235,35 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the usage message
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse already printed the usage message
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            code = args.func(args)
+        # a closed stdout shows here at the latest, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except (FileFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError as exc:
+        print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        # point stdout's descriptor at the null device, so the interpreter's
+        # final flush raises nothing; an in-process caller's StringIO has none
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -224,7 +224,8 @@ def _search(
     soon as the incumbent reaches `target`, which no schedule beats.
 
     Raises BudgetExceeded once more than `node_budget` nodes are generated
-    (all m children of each expanded node count).
+    (all m children of each expanded node count), or when a path from the
+    root is deeper than the interpreter's recursion limit allows.
     """
     n = len(times)
     total = sum(times)
@@ -301,7 +302,13 @@ def _search(
                 return True
         return False
 
-    visit(0, 0)
+    try:
+        visit(0, 0)
+    except RecursionError:
+        raise BudgetExceeded(
+            f"the search nests one call per job, and {n} jobs go deeper "
+            f"than the interpreter's recursion limit allows"
+        ) from None
     return SolveResult(best_a, best, leaves, pruned)
 
 

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -393,6 +394,99 @@ class TestEntryPoint:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert result.stdout == "False\n"
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call leaves state behind."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_builds_nothing(self):
+        code = "import makespan.cli as c; print(c.build_parser.cache_info().currsize)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "0\n"
+
+    def test_calls_leak_nothing(self, capsys, demo_file, tmp_path):
+        witness = tmp_path / "witness.json"
+        assert run(capsys, "decide", demo_file, "--no-such-flag")[0] == 2
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out.startswith("usage: makespan")
+        argv = ["decide", demo_file, "--threshold", "3"]
+        assert run(capsys, *argv, "--witness-out", str(witness))[0] == 0
+        witness.write_text("kept")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("yes\n")
+        assert witness.read_text() == "kept"
+        assert cli.build_parser().parse_args(argv).witness_out is None
+
+    def test_repeated_solve_matches_a_fresh_process(self, capsys, demo_file):
+        argv = ["solve", demo_file, "--method", "bnb"]
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "makespan", *argv], capture_output=True, text=True
+        )
+        assert first == second == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+class TestDeepSearch:
+    """The pruned search nests one call per job.  Past the interpreter's
+    recursion limit it stops as over budget: exit 3, never a traceback or
+    the exit 1 of a wrong "no"."""
+
+    @pytest.mark.parametrize(
+        "argv", [["decide", "--threshold", "10002"], ["solve", "--method", "bnb"]]
+    )
+    def test_exits_3_without_traceback(self, capsys, tmp_path, argv):
+        # every time is even, so LPT's 5002 is above the bound 5001, and no
+        # schedule meets it: the search has to prove 5002 at depth 5000
+        path = tmp_path / "deep.json"
+        path.write_text(dump_json({"machines": 2, "jobs": [2] * 4999 + [4]}))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err and "5000 jobs go deeper" in err
+
+    def test_bound_met_by_lpt(self, capsys, tmp_path):
+        # LPT meets the bound 2500, but the witness is the least schedule,
+        # found only at a leaf 5000 levels down: over budget, not a "no".
+        # A threshold below the bound is still answered before any search.
+        path = tmp_path / "ones.json"
+        path.write_text(dump_json({"machines": 2, "jobs": [1] * 5000}))
+        code, out, err = run(capsys, "decide", str(path), "--threshold", "2500")
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+        assert run(capsys, "decide", str(path), "--threshold", "2499")[:2] == (1, "no\n")
+
+
+class TestClosedStdout:
+    """A stdout closed before the output is written exits 2, not with a
+    traceback."""
+
+    def test_write_raises(self, demo_file):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        err = io.StringIO()
+        with redirect_stdout(Closed()), redirect_stderr(err):
+            code = main(["reduce-mumpsp", demo_file])
+        assert (code, err.getvalue()) == (2, "error: stdout: Broken pipe\n")
+
+    def test_closed_pipe(self, demo_file):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "makespan", "reduce-mumpsp", demo_file],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (2, "error: stdout: Broken pipe\n")
 
 
 _digit_limit = pytest.mark.skipif(

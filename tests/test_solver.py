@@ -290,6 +290,15 @@ class TestBranchAndBound:
         with pytest.raises(BudgetExceeded):
             branch_and_bound(instance, node_budget=20)
 
+    def test_deeper_than_the_recursion_limit(self):
+        # every time is even, so no schedule reaches the bound 10002/2 = 5001
+        # and LPT's 5002 must be proved by a search 5000 levels deep; it nests
+        # one call per level and stops as over budget at the recursion limit
+        instance = make_instance(2, [2] * 4999 + [4])
+        for call in (branch_and_bound, prove, magic_schedule):
+            with pytest.raises(BudgetExceeded, match="5000 jobs go deeper"):
+                call(instance)
+
 
 class TestSearchWitnesses:
     """prove and decide run the pruned search, yet certify exactly what the
