@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-from .model import Instance, InvalidInstance, SchedulingError, make_instance
+from .model import Instance, InvalidInstance, SchedulingError, _power_exceeds, make_instance
 from .reductions import MumpspInstance, PartitionInstance
 from .verifier import Certificate
 
@@ -59,12 +59,10 @@ def _check_printable(
     prints is at most a file's total, so checking the total keeps all of them
     printable."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    bits = base.bit_length()
-    # base**exponent has at most exponent * bits bits and more than
-    # exponent * (bits - 1), and 2**(3 * limit) < 10**limit < 2**(4 * limit):
-    # the power is taken only when its bit count leaves the answer open
-    if limit and exponent * bits > 3 * limit and (
-        exponent * (bits - 1) >= 4 * limit or base**exponent >= 10**limit
+    # base**exponent has at most exponent * bits bits, and 2**(3 * limit) <
+    # 10**limit: only a power that may pass that builds 10**limit to ask
+    if limit and exponent * base.bit_length() > 3 * limit and _power_exceeds(
+        base, exponent, 10**limit - 1
     ):
         raise error(f"{what} has more than {limit} digits")
 

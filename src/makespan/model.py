@@ -68,6 +68,27 @@ def _int_at_least(
     return value
 
 
+def _positive_ints(values: Iterable[object], what: str) -> None:
+    """Refuse the first entry that is not a plain int >= 1, as _int_at_least
+    would, naming entry i (from 1) what.format(i) only once it fails."""
+    for i, v in enumerate(values, 1):
+        if type(v) is not int or v < 1:
+            _int_at_least(v, 1, what.format(i))
+
+
+def _power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """base**exponent > bound, for ints all >= 0, without building a power
+    much longer than the bound: the one rule for refusing m^k up front.
+
+    base**exponent is at least 2**(exponent * (bits - 1)) for a base of
+    `bits` bits, so once that exponent reaches the bound's bit length the
+    answer is yes.  Otherwise, for a base >= 2, the power has fewer than
+    twice the bound's bits (a base of 0 or 1 gives 0 or 1)."""
+    if exponent * (base.bit_length() - 1) >= bound.bit_length():
+        return True
+    return base**exponent > bound
+
+
 @dataclass(frozen=True, slots=True)
 class Instance:
     """m identical machines plus one positive processing time per job.
@@ -86,9 +107,7 @@ class Instance:
             raise InvalidInstance(f"machine count must be <= {MAX_MACHINES}, got {m}")
         if not self.processing_times:
             raise InvalidInstance("need at least one job")
-        for i, p in enumerate(self.processing_times, 1):
-            if type(p) is not int or p < 1:  # name the entry only when it fails
-                _int_at_least(p, 1, f"processing time of job {i}")
+        _positive_ints(self.processing_times, "processing time of job {}")
 
     @property
     def job_count(self) -> int:

@@ -31,10 +31,10 @@ from .model import (
     InvalidSchedule,
     LengthMismatch,
     _int_at_least,
+    _positive_ints,
     make_instance,
 )
 from . import solver
-from .solver import DEFAULT_LEAF_BUDGET
 from .verifier import decide  # noqa: F401  bench/spans.py wraps reductions.decide
 
 DEFAULT_SUM_BUDGET = 1 << 24
@@ -54,9 +54,7 @@ class PartitionInstance:
         object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights:
             raise InvalidInstance("need at least one weight")
-        for i, w in enumerate(self.weights, 1):
-            if type(w) is not int or w < 1:  # name the entry only when it fails
-                _int_at_least(w, 1, f"weight {i}")
+        _positive_ints(self.weights, "weight {}")
 
     @property
     def total_weight(self) -> int:
@@ -82,8 +80,7 @@ class MumpspInstance:
         for r, jobs in enumerate(self.user_job_lists, 1):
             if not jobs:
                 raise InvalidInstance(f"user {r} has no jobs")
-            for i, p in enumerate(jobs, 1):
-                _int_at_least(p, 1, f"processing time {i} of user {r}")
+            _positive_ints(jobs, f"processing time {{}} of user {r}")
 
     @property
     def user_count(self) -> int:
@@ -105,21 +102,20 @@ def partition_to_2psp(pp: PartitionInstance) -> tuple[Instance, Fraction]:
     return instance, Fraction(pp.total_weight, 2)
 
 
-def decide_partition(
-    pp: PartitionInstance, leaf_budget: int = DEFAULT_LEAF_BUDGET
-) -> bool:
+def decide_partition(pp: PartitionInstance) -> bool:
     """True iff the weights split into two subsets of equal sum.
 
     Answered through the scheduling side: an even total and an optimum of the
     mapped instance of at most total/2.  The optimum comes from the full scan,
     not the pruned search behind `decide`, so the cost is 2^n leaves whatever
     the weights are; the search's cost swings with where, and whether, a
-    balanced split lies.  Propagates BudgetExceeded.
+    balanced split lies.  Raises BudgetExceeded, before any work, past
+    2^n > DEFAULT_LEAF_BUDGET leaves.
     """
     instance, half = partition_to_2psp(pp)
     if half.denominator != 1:
         return False
-    return solver.brute_force_opt(instance, leaf_budget).optimum <= half
+    return solver.brute_force_opt(instance).optimum <= half
 
 
 def schedule_to_partition(schedule: Sequence[int]) -> tuple[set[int], set[int]]:
@@ -148,15 +144,12 @@ def subset_sum_oracle(
     Raises BudgetExceeded when the weight total exceeds sum_budget.
     """
     ws = list(weights)
-    for i, w in enumerate(ws, 1):
-        _int_at_least(w, 1, f"weight {i}")
+    _positive_ints(ws, "weight {}")
     if target < 0:
         return False
     total = sum(ws)
     if total > sum_budget:
-        raise BudgetExceeded(
-            f"weight total {total} exceeds the sum budget of {sum_budget}"
-        )
+        raise BudgetExceeded(f"the weight total exceeds the sum budget of {sum_budget}")
     if target > total:
         return False
     reachable = 1  # bit 0: the empty subset

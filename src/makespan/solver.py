@@ -27,6 +27,7 @@ from .model import (
     Instance,
     InvalidInstance,
     Schedule,
+    _power_exceeds,
     loads,
 )
 
@@ -149,7 +150,8 @@ def brute_force_opt(
     every assignment of the jobs just above the last one adds, at most
     _TAIL_CELLS = 2^12 cells, with the last job folded into each row's
     largest and smallest load.  Memory is O(n*m + 2^12) cells per process.
-    Raises BudgetExceeded before starting any work when m^n > leaf_budget.
+    Raises BudgetExceeded before starting any work, or taking m^n, when
+    m^n > leaf_budget.
     With workers > 1 (and a large enough scan) disjoint prefix subtrees are
     scanned by separate processes and min-reduced; the result is identical to
     the sequential scan.  No more processes start than this process has
@@ -158,11 +160,9 @@ def brute_force_opt(
     m = instance.machine_count
     times = instance.processing_times
     n = len(times)
+    if _power_exceeds(m, n, leaf_budget):
+        raise BudgetExceeded(f"{m}^{n} leaves exceed the budget of {leaf_budget}")
     total_leaves = m**n
-    if total_leaves > leaf_budget:
-        raise BudgetExceeded(
-            f"{m}^{n} = {total_leaves} leaves exceed the budget of {leaf_budget}"
-        )
 
     workers = min(workers, _cpu_count())
     if workers > 1 and total_leaves >= _PARALLEL_MIN_LEAVES and n > 2:

@@ -34,6 +34,7 @@ from .model import (
     Instance,
     Schedule,
     _int_at_least,
+    _power_exceeds,
     loads,
 )
 
@@ -174,13 +175,13 @@ def to_dot(
     """Graphviz DOT rendering of the tree down to `max_level`.
 
     Node labels show the assignment configuration and the load vector; edge
-    labels show the job-to-machine action.  Refuses with BudgetExceeded when the
-    widest rendered level would exceed `node_cap` nodes.
+    labels show the job-to-machine action.  Refuses with BudgetExceeded, before
+    any work, when the widest rendered level would exceed `node_cap` nodes.
     """
     n = instance.job_count
     if max_level < 0 or max_level > n:
         raise DomainError(f"max_level must be in 0..{n}, got {max_level}")
-    if instance.machine_count**max_level > node_cap:
+    if _power_exceeds(instance.machine_count, max_level, node_cap):
         raise BudgetExceeded(
             f"{instance.machine_count}^{max_level} leaves exceed the node cap "
             f"of {node_cap}"

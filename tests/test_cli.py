@@ -587,6 +587,15 @@ class TestExitCodeBoundary:
         assert err.startswith("error: ")
         assert out == ""
 
+    def test_brute_past_the_digit_limit_exits_3(self, capsys, tmp_path):
+        # 2^14285 has 4301 digits: the refusal names the power, never prints it
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"machines": 2, "jobs": [1] * 14285}))
+        code, out, err = run(capsys, "solve", str(path), "--method", "brute")
+        assert code == 3
+        assert err == f"error: 2^14285 leaves exceed the budget of {solver.DEFAULT_LEAF_BUDGET}\n"
+        assert out == ""
+
 
 # Arbitrary bytes and arbitrary JSON, or objects shaped like instance,
 # certificate and partition files so that the commands also get past the

@@ -19,7 +19,7 @@ from makespan import (
     schedule_from_job_sets,
     theoretical_opt,
 )
-from makespan.model import MAX_MACHINES
+from makespan.model import MAX_MACHINES, _power_exceeds
 
 
 @st.composite
@@ -77,6 +77,27 @@ class TestMakeInstance:
         assert make_instance(MAX_MACHINES, [1]).machine_count == MAX_MACHINES
         with pytest.raises(InvalidInstance, match=f"machine count must be <= {MAX_MACHINES}"):
             make_instance(MAX_MACHINES + 1, [1])
+
+
+@st.composite
+def power_cases(draw):
+    """(base, exponent, bound) with the bound next to the power, 0 or random."""
+    base = draw(st.integers(0, 2**70))
+    exponent = draw(st.integers(0, 200))
+    power = base**exponent
+    bound = draw(st.sampled_from([power - 1, power, power + 1, 0]) | st.integers(0, 2**15000))
+    return base, exponent, max(bound, 0)
+
+
+class TestPowerExceeds:
+    @given(power_cases())
+    def test_equals_the_power(self, case):
+        base, exponent, bound = case
+        assert _power_exceeds(base, exponent, bound) == (base**exponent > bound)
+
+    def test_decided_without_the_power(self):
+        # (2^20 - 1)^(2^20) has about 2^24.3 bits; only the bit lengths are used
+        assert _power_exceeds(2**20 - 1, 2**20, 2**26) is True
 
 
 class TestLoads:

@@ -85,6 +85,11 @@ class TestDecidePartition:
     def test_no_even_total(self):
         assert decide_partition(PartitionInstance((1, 1, 6))) is False
 
+    def test_budget_past_the_digit_limit(self):
+        # an even total, so the answer is not settled before the scan
+        with pytest.raises(BudgetExceeded, match=r"^2\^14285 leaves exceed the budget"):
+            decide_partition(PartitionInstance((2,) * 14285))
+
     def test_agrees_with_subset_scan(self):
         rng = random.Random(41)
         for _ in range(60):
@@ -102,6 +107,31 @@ class TestDecidePartition:
         first, second = schedule_to_partition(witness.schedule)
         assert sum(pp.weights[i - 1] for i in first) == 7
         assert sum(pp.weights[i - 1] for i in second) == 7
+
+
+class TestEntryMessages:
+    """Each list of positive ints names the first entry that fails."""
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: make_instance(2, [1, 0]), "processing time of job 2 must be >= 1, got 0"),
+            (
+                lambda: make_instance(2, [1, 2.5]),
+                "processing time of job 2 must be an integer, got 2.5",
+            ),
+            (lambda: PartitionInstance((1, True)), "weight 2 must be an integer, got True"),
+            (
+                lambda: MumpspInstance(2, ((1,), (3, 0))),
+                "processing time 2 of user 2 must be >= 1, got 0",
+            ),
+            (lambda: subset_sum_oracle([1, -2], 1), "weight 2 must be >= 1, got -2"),
+        ],
+    )
+    def test_message(self, build, message):
+        with pytest.raises(InvalidInstance) as info:
+            build()
+        assert str(info.value) == message
 
 
 class TestScheduleToPartition:

@@ -89,6 +89,11 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force_opt(big)
 
+    def test_budget_past_the_digit_limit(self):
+        # 2^14285 has 4301 digits, more than the interpreter prints by default
+        with pytest.raises(BudgetExceeded, match=r"^2\^14285 leaves exceed the budget"):
+            brute_force_opt(make_instance(2, [1] * 14285))
+
     def test_budget_boundary(self, demo_instance):
         assert brute_force_opt(demo_instance, leaf_budget=8).optimum == 3
         with pytest.raises(BudgetExceeded):
