@@ -89,6 +89,16 @@ def _power_exceeds(base: int, exponent: int, bound: int) -> bool:
     return base**exponent > bound
 
 
+def _budget_text(budget: int) -> str:
+    """A caller's budget as a refusal names it: its digits, or its bit length
+    when it has more digits than the interpreter's int-to-str limit allows,
+    so that printing it cannot turn a BudgetExceeded into a ValueError."""
+    try:
+        return str(budget)
+    except ValueError:
+        return f"a {budget.bit_length()}-bit number"
+
+
 @dataclass(frozen=True, slots=True)
 class Instance:
     """m identical machines plus one positive processing time per job.

@@ -30,6 +30,7 @@ from .model import (
     InvalidMachineIndex,
     InvalidSchedule,
     LengthMismatch,
+    _budget_text,
     _int_at_least,
     _positive_ints,
     make_instance,
@@ -149,7 +150,9 @@ def subset_sum_oracle(
         return False
     total = sum(ws)
     if total > sum_budget:
-        raise BudgetExceeded(f"the weight total exceeds the sum budget of {sum_budget}")
+        raise BudgetExceeded(
+            f"the weight total exceeds the sum budget of {_budget_text(sum_budget)}"
+        )
     if target > total:
         return False
     reachable = 1  # bit 0: the empty subset

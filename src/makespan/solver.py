@@ -27,6 +27,7 @@ from .model import (
     Instance,
     InvalidInstance,
     Schedule,
+    _budget_text,
     _power_exceeds,
     loads,
 )
@@ -75,8 +76,13 @@ def _scan_subtree(
     raises j's load, so with `top` and `low` the row's largest and smallest
     load that leaf weighs max(top, load_j + q): the row's least leaf is
     max(top, low + q), reached first on the first j with load_j + q at most
-    that.  The first minimum in row order, and a strict improvement across
-    head nodes, keep the lexicographically least witness.  Memory is
+    that.  Each machine but the last takes two list passes over the rows,
+    one for `top` and one for `low`; one more pass prices the last machine
+    and the last job together.  With t and l the largest and smallest load
+    of the other machines and y the last machine's, the row's least leaf is
+    max(y, l + q) when y > t, max(t, y + q) when y < l, and max(t, l + q)
+    otherwise.  The first minimum in row order, and a strict improvement
+    across head nodes, keep the lexicographically least witness.  Memory is
     O(n*m + 2^12) cells.
     """
     n = len(times)
@@ -106,12 +112,20 @@ def _scan_subtree(
         # loads are kept relative to machine 1's, which saves one pass
         c0 = current[0]
         top = low = columns[0]
-        for j in range(1, m):
+        for j in range(1, m - 1):
             d = current[j] - c0
             column = columns[j]
             top = [t if t > x + d else x + d for t, x in zip(top, column)]
             low = [t if t < x + d else x + d for t, x in zip(low, column)]
-        acc = [t if t > x + q else x + q for t, x in zip(top, low)]
+        # the last machine's load y and the last job q priced in one pass
+        d = current[-1] - c0
+        acc = [
+            (y if y > l + q else l + q) if y > t
+            else (t if t > y + q else y + q) if y < l
+            else (t if t > l + q else l + q)
+            for t, l, x in zip(top, low, columns[-1])
+            for y in (x + d,)
+        ]
         w = min(acc) + c0
         if w < best_w:
             best_w, best_current, best_head = w, current, head
@@ -161,7 +175,9 @@ def brute_force_opt(
     times = instance.processing_times
     n = len(times)
     if _power_exceeds(m, n, leaf_budget):
-        raise BudgetExceeded(f"{m}^{n} leaves exceed the budget of {leaf_budget}")
+        raise BudgetExceeded(
+            f"{m}^{n} leaves exceed the budget of {_budget_text(leaf_budget)}"
+        )
     total_leaves = m**n
 
     workers = min(workers, _cpu_count())

@@ -33,6 +33,7 @@ from .model import (
     DomainError,
     Instance,
     Schedule,
+    _budget_text,
     _int_at_least,
     _power_exceeds,
     loads,
@@ -184,7 +185,7 @@ def to_dot(
     if _power_exceeds(instance.machine_count, max_level, node_cap):
         raise BudgetExceeded(
             f"{instance.machine_count}^{max_level} leaves exceed the node cap "
-            f"of {node_cap}"
+            f"of {_budget_text(node_cap)}"
         )
     lines = [
         "digraph schedule_tree {",

@@ -173,6 +173,11 @@ class TestSubsetSumOracle:
         with pytest.raises(BudgetExceeded):
             subset_sum_oracle([10, 10], 10, sum_budget=15)
 
+    def test_budget_longer_than_the_digit_limit(self):
+        # a budget of 5001 digits is named by its bit length, not printed
+        with pytest.raises(BudgetExceeded, match=r"sum budget of a 16610-bit number$"):
+            subset_sum_oracle([10**5000, 1], 1, sum_budget=10**5000)
+
     def test_rejects_bad_weights(self):
         with pytest.raises(InvalidInstance):
             subset_sum_oracle([1, 0], 1)

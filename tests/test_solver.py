@@ -94,6 +94,11 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded, match=r"^2\^14285 leaves exceed the budget"):
             brute_force_opt(make_instance(2, [1] * 14285))
 
+    def test_budget_longer_than_the_digit_limit(self):
+        # a budget of 5001 digits is named by its bit length, not printed
+        with pytest.raises(BudgetExceeded, match=r"budget of a 16610-bit number$"):
+            brute_force_opt(make_instance(2, [1] * 16700), leaf_budget=10**5000)
+
     def test_budget_boundary(self, demo_instance):
         assert brute_force_opt(demo_instance, leaf_budget=8).optimum == 3
         with pytest.raises(BudgetExceeded):
@@ -192,6 +197,30 @@ class TestScanSubtree:
             for depth in (0, 1, n - 1):
                 prefix = tuple(rng.randint(1, m) for _ in range(depth))
                 self.check(m, [7] * n, prefix)
+
+    # loads in jobs of time 7 before the last job, per machine, at m=2 and
+    # m=3: the last machine's load y against the largest (t) and the least
+    # (l) of the others'; at m=2 t == l, so y between them means y == t == l
+    @pytest.mark.parametrize(
+        "loads_in_jobs",
+        [
+            pytest.param(((1, 3), (1, 2, 3)), id="y above t"),
+            pytest.param(((3, 1), (2, 3, 1)), id="y below l"),
+            pytest.param(((2, 2), (1, 3, 2)), id="y between"),
+            pytest.param(((2, 2), (1, 3, 3)), id="y equals t"),
+            pytest.param(((2, 2), (3, 1, 1)), id="y equals l"),
+        ],
+    )
+    def test_last_machine_and_last_job_in_one_pass(self, loads_in_jobs):
+        for counts in loads_in_jobs:
+            m = len(counts)
+            prefix = tuple(j for j, c in enumerate(counts, 1) for _ in range(c))
+            # a last job as long as the others, so that ties must go to the
+            # least leaf, and one longer than any gap between two loads
+            for q in (7, 30):
+                times = [7] * len(prefix) + [q]
+                for depth in (0, len(prefix)):
+                    self.check(m, times, prefix[:depth])
 
     def test_random_prefixes(self):
         rng = random.Random(59)

@@ -204,6 +204,11 @@ class TestToDot:
         with pytest.raises(BudgetExceeded):
             to_dot(big, 20)
 
+    def test_cap_longer_than_the_digit_limit(self):
+        # a cap of 5001 digits is named by its bit length, not printed
+        with pytest.raises(BudgetExceeded, match=r"node cap of a 16610-bit number$"):
+            to_dot(make_instance(2, [1] * 16700), 16700, node_cap=10**5000)
+
     def test_respects_custom_cap(self, demo_instance):
         with pytest.raises(BudgetExceeded):
             to_dot(demo_instance, 3, node_cap=7)
