@@ -12,9 +12,10 @@ Machine indices are 1-based everywhere in the public surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # A complete schedule: entry i-1 names the machine (1..m) running job i.
 Schedule = tuple[int, ...]
@@ -99,25 +100,71 @@ def _budget_text(budget: int) -> str:
         return f"a {budget.bit_length()}-bit number"
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
+# Stores a record's field past _Record.__setattr__; bound once, so that a
+# record's __init__ is no slower than a frozen dataclass's.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value records.
+
+    A record lists its fields, in order, as both `__slots__` and
+    `__match_args__`, and its `__init__` checks the values and stores each
+    with _set_field.  Records compare and hash by their field values,
+    and only against a record of the same class; repr names every field;
+    assignment and deletion raise AttributeError; pickle and copy rebuild a
+    record through its class, so its checks run again.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Instance(_Record):
     """m identical machines plus one positive processing time per job.
 
     Any job count n >= 1 is accepted; n is not required to exceed the machine
     count (a single job on many machines is a valid, if lopsided, instance).
     """
 
+    __slots__ = __match_args__ = ("machine_count", "processing_times")
     machine_count: int
     processing_times: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "processing_times", tuple(self.processing_times))
-        m = _int_at_least(self.machine_count, 2, "machine count")
+    def __init__(self, machine_count: int, processing_times: Iterable[int]) -> None:
+        times = tuple(processing_times)
+        m = _int_at_least(machine_count, 2, "machine count")
         if m > MAX_MACHINES:
             raise InvalidInstance(f"machine count must be <= {MAX_MACHINES}, got {m}")
-        if not self.processing_times:
+        if not times:
             raise InvalidInstance("need at least one job")
-        _positive_ints(self.processing_times, "processing time of job {}")
+        _positive_ints(times, "processing time of job {}")
+        _set_field(self, "machine_count", m)
+        _set_field(self, "processing_times", times)
 
     @property
     def job_count(self) -> int:
@@ -178,6 +225,10 @@ def theoretical_opt(instance: Instance) -> Fraction:
     This is only a lower bound on the achievable makespan and is deliberately
     not rounded; the attainable optimum comes from the solvers.
     """
+    # imported here, so that every command that needs no fraction starts
+    # without it
+    from fractions import Fraction
+
     return Fraction(instance.total_work, instance.machine_count)
 
 

@@ -19,9 +19,7 @@ their sequences back to back from time 0 with no inserted idleness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import (
     BudgetExceeded,
@@ -33,10 +31,15 @@ from .model import (
     _budget_text,
     _int_at_least,
     _positive_ints,
+    _Record,
+    _set_field,
     make_instance,
 )
 from . import solver
 from .verifier import decide  # noqa: F401  bench/spans.py wraps reductions.decide
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_SUM_BUDGET = 1 << 24
 
@@ -44,44 +47,45 @@ DEFAULT_SUM_BUDGET = 1 << 24
 OrderedSchedule = tuple[tuple[tuple[int, int], ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionInstance:
+class PartitionInstance(_Record):
     """A multiset of positive integer weights to split into two equal-sum
     halves."""
 
+    __slots__ = __match_args__ = ("weights",)
     weights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if not self.weights:
+    def __init__(self, weights: Iterable[int]) -> None:
+        weights = tuple(weights)
+        if not weights:
             raise InvalidInstance("need at least one weight")
-        _positive_ints(self.weights, "weight {}")
+        _positive_ints(weights, "weight {}")
+        _set_field(self, "weights", weights)
 
     @property
     def total_weight(self) -> int:
         return sum(self.weights)
 
 
-@dataclass(frozen=True, slots=True)
-class MumpspInstance:
+class MumpspInstance(_Record):
     """Multi-user instance: m machines plus one non-empty job list per user."""
 
+    __slots__ = __match_args__ = ("machine_count", "user_job_lists")
     machine_count: int
     user_job_lists: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "user_job_lists",
-            tuple(tuple(jobs) for jobs in self.user_job_lists),
-        )
-        _int_at_least(self.machine_count, 2, "machine count")
-        if not self.user_job_lists:
+    def __init__(
+        self, machine_count: int, user_job_lists: Iterable[Iterable[int]]
+    ) -> None:
+        lists = tuple(tuple(jobs) for jobs in user_job_lists)
+        _int_at_least(machine_count, 2, "machine count")
+        if not lists:
             raise InvalidInstance("need at least one user")
-        for r, jobs in enumerate(self.user_job_lists, 1):
+        for r, jobs in enumerate(lists, 1):
             if not jobs:
                 raise InvalidInstance(f"user {r} has no jobs")
             _positive_ints(jobs, f"processing time {{}} of user {r}")
+        _set_field(self, "machine_count", machine_count)
+        _set_field(self, "user_job_lists", lists)
 
     @property
     def user_count(self) -> int:
@@ -99,6 +103,10 @@ def partition_to_2psp(pp: PartitionInstance) -> tuple[Instance, Fraction]:
     Weights become processing times verbatim; the threshold is the exact
     rational total/2, integral iff the total is even.  O(n).
     """
+    # imported here, so that every command that needs no fraction starts
+    # without it
+    from fractions import Fraction
+
     instance = make_instance(2, pp.weights)
     return instance, Fraction(pp.total_weight, 2)
 

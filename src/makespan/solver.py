@@ -19,7 +19,6 @@ import heapq
 import itertools
 import os
 import random
-from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from .model import (
@@ -29,23 +28,30 @@ from .model import (
     Schedule,
     _budget_text,
     _power_exceeds,
+    _Record,
+    _set_field,
     loads,
 )
 
 DEFAULT_LEAF_BUDGET = 1 << 26
 
-# Fan-out across processes only pays off once a scan is this large.  On a
-# 2-CPU host, m=2, minimum of five runs, sequential against 2 workers:
-# 2^18 leaves 20 against 19-29 ms (about break-even), 2^19 70 against 45 ms,
-# 2^20 84-138 against 53-81 ms.
-_PARALLEL_MIN_LEAVES = 1 << 18
+# Fan-out across processes only pays off once a scan is this large.  Wall
+# time of `makespan solve --method brute` in a fresh interpreter on a 2-CPU
+# host, Python 3.11, m=2, medians of ten paired runs per reading (ms):
+#
+#   leaves  default --threads  --threads 1    pool faster in
+#   2^18    181                139            0/10
+#   2^20    199-202            188-202        3/10, 3/10
+#   2^21    218-311            234-335        7/10, 7/10, 6/10
+#   2^22    346-396            329-498        9/10, 6/10, 9/10
+#   2^23    612                956            10/10
+_PARALLEL_MIN_LEAVES = 1 << 22
 
 # The full scan's tail table holds at most this many loads: m^k rows of m.
 _TAIL_CELLS = 1 << 12
 
 
-@dataclass(frozen=True, slots=True)
-class SolveResult:
+class SolveResult(_Record):
     """Outcome of an exact solve.
 
     leaves_explored counts priced leaves; nodes_pruned counts the children
@@ -55,10 +61,19 @@ class SolveResult:
     scan).
     """
 
+    __slots__ = __match_args__ = ("best_schedule", "optimum", "leaves_explored", "nodes_pruned")
     best_schedule: Schedule
     optimum: int
     leaves_explored: int
     nodes_pruned: int
+
+    def __init__(
+        self, best_schedule: Schedule, optimum: int, leaves_explored: int, nodes_pruned: int
+    ) -> None:
+        _set_field(self, "best_schedule", best_schedule)
+        _set_field(self, "optimum", optimum)
+        _set_field(self, "leaves_explored", leaves_explored)
+        _set_field(self, "nodes_pruned", nodes_pruned)
 
 
 def _scan_subtree(
@@ -166,10 +181,11 @@ def brute_force_opt(
     largest and smallest load.  Memory is O(n*m + 2^12) cells per process.
     Raises BudgetExceeded before starting any work, or taking m^n, when
     m^n > leaf_budget.
-    With workers > 1 (and a large enough scan) disjoint prefix subtrees are
-    scanned by separate processes and min-reduced; the result is identical to
-    the sequential scan.  No more processes start than this process has
-    CPUs to run on, whatever `workers` asks for.
+    With workers > 1 and at least _PARALLEL_MIN_LEAVES = 2^22 leaves,
+    disjoint prefix subtrees are scanned by separate processes and
+    min-reduced; the result is identical to the sequential scan.  A smaller
+    scan runs in this process whatever `workers` asks for, and no more
+    processes start than this process has CPUs to run on.
     """
     m = instance.machine_count
     times = instance.processing_times
@@ -358,16 +374,22 @@ def branch_and_bound(
     schedule = [0] * n
     for pos, job in enumerate(order):
         schedule[job] = result.best_schedule[pos]
-    return replace(result, best_schedule=tuple(schedule))
+    return SolveResult(
+        tuple(schedule), result.optimum, result.leaves_explored, result.nodes_pruned
+    )
 
 
-@dataclass(frozen=True, slots=True)
-class MsOutcome:
+class MsOutcome(_Record):
     """Success carries the balanced two-machine schedule; Failure carries
     nothing."""
 
+    __slots__ = __match_args__ = ("success", "partition")
     success: bool
-    partition: Schedule | None = None
+    partition: Schedule | None
+
+    def __init__(self, success: bool, partition: Schedule | None = None) -> None:
+        _set_field(self, "success", success)
+        _set_field(self, "partition", partition)
 
 
 # A strategy streams candidate schedules for an instance; magic_schedule

@@ -24,7 +24,6 @@ value, and the two coincide exactly when m = 2.  Both are exposed on purpose.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
@@ -36,20 +35,29 @@ from .model import (
     _budget_text,
     _int_at_least,
     _power_exceeds,
+    _Record,
+    _set_field,
     loads,
 )
 
 DEFAULT_NODE_CAP = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
+class TreeNode(_Record):
     """One tree configuration: the first `level` jobs assigned, plus the load
     vector those assignments induce."""
 
+    __slots__ = __match_args__ = ("level", "assignment_prefix", "load_vector")
     level: int
     assignment_prefix: tuple[int, ...]
     load_vector: tuple[int, ...]
+
+    def __init__(
+        self, level: int, assignment_prefix: tuple[int, ...], load_vector: tuple[int, ...]
+    ) -> None:
+        _set_field(self, "level", level)
+        _set_field(self, "assignment_prefix", assignment_prefix)
+        _set_field(self, "load_vector", load_vector)
 
     @property
     def weight(self) -> int:

@@ -15,9 +15,15 @@ the prover role by emitting the optimal certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import Instance, InvalidMachineIndex, LengthMismatch, Schedule, loads
+from .model import (
+    Instance,
+    InvalidMachineIndex,
+    LengthMismatch,
+    Schedule,
+    _Record,
+    _set_field,
+    loads,
+)
 from .solver import (
     DEFAULT_LEAF_BUDGET,
     _search,
@@ -43,25 +49,43 @@ _DETAILS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(_Record):
     """A schedule plus the makespan claimed for it.  Nothing is validated at
     construction; checking the claim is the verifier's job."""
 
+    __slots__ = __match_args__ = ("schedule", "claimed_makespan")
     schedule: Schedule
     claimed_makespan: int
 
+    def __init__(self, schedule: Schedule, claimed_makespan: int) -> None:
+        _set_field(self, "schedule", schedule)
+        _set_field(self, "claimed_makespan", claimed_makespan)
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+
+class Verdict(_Record):
     """Exactly one verdict variant, selected by `code`; the remaining fields
     carry that variant's machine-readable detail."""
 
+    __slots__ = __match_args__ = ("code", "reason", "claimed", "actual", "threshold")
     code: str
-    reason: str | None = None
-    claimed: int | None = None
-    actual: int | None = None
-    threshold: int | None = None
+    reason: str | None
+    claimed: int | None
+    actual: int | None
+    threshold: int | None
+
+    def __init__(
+        self,
+        code: str,
+        reason: str | None = None,
+        claimed: int | None = None,
+        actual: int | None = None,
+        threshold: int | None = None,
+    ) -> None:
+        _set_field(self, "code", code)
+        _set_field(self, "reason", reason)
+        _set_field(self, "claimed", claimed)
+        _set_field(self, "actual", actual)
+        _set_field(self, "threshold", threshold)
 
     @property
     def accepted(self) -> bool:

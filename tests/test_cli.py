@@ -387,9 +387,15 @@ class TestEntryPoint:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
-    def test_import_leaves_out_the_process_pool(self):
-        # only the fanned brute-force scan needs concurrent.futures
-        code = "import sys, makespan.cli; print('concurrent.futures' in sys.modules)"
+    # Start-up pays for every module the package imports: only the fanned
+    # brute-force scan needs concurrent.futures, only the exact thresholds
+    # need fractions, and the records are plain classes, so no command pays
+    # for dataclasses and the inspect chain it imports.
+    @pytest.mark.parametrize(
+        "module", ["concurrent.futures", "dataclasses", "inspect", "fractions"]
+    )
+    def test_import_leaves_out(self, module):
+        code = f"import sys, makespan.cli; print({module!r} in sys.modules)"
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from makespan import (
+    Certificate,
     Instance,
     InvalidInstance,
     InvalidMachineIndex,
     InvalidSchedule,
     LengthMismatch,
+    MsOutcome,
+    MumpspInstance,
+    PartitionInstance,
+    SolveResult,
+    TreeNode,
+    Verdict,
     is_essential,
     job_sets,
     loads,
@@ -211,3 +220,83 @@ class TestInvariants:
         if instance.machine_count == 2:
             constant = len(set(schedule)) == 1
             assert is_essential(instance, schedule) == (not constant)
+
+
+# Every record type, its field names in order, and two objects' field values
+# that differ only in the last field.
+RECORDS = [
+    (Instance, ("machine_count", "processing_times"), (2, (3, 1)), (2, (3, 2))),
+    (PartitionInstance, ("weights",), ((3, 1),), ((3, 2),)),
+    (MumpspInstance, ("machine_count", "user_job_lists"), (2, ((3,), (1, 1))), (2, ((3,),))),
+    (
+        SolveResult,
+        ("best_schedule", "optimum", "leaves_explored", "nodes_pruned"),
+        ((1, 2), 3, 4, 0),
+        ((1, 2), 3, 4, 1),
+    ),
+    (MsOutcome, ("success", "partition"), (True, (1, 2)), (True, (2, 1))),
+    (TreeNode, ("level", "assignment_prefix", "load_vector"), (1, (2,), (0, 3)), (1, (2,), (3, 0))),
+    (Certificate, ("schedule", "claimed_makespan"), ((1, 2), 3), ((1, 2), 4)),
+    (
+        Verdict,
+        ("code", "reason", "claimed", "actual", "threshold"),
+        ("reject_above_threshold", None, None, 4, 3),
+        ("reject_above_threshold", None, None, 4, 2),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, values, other", RECORDS, ids=[record[0].__name__ for record in RECORDS]
+)
+class TestRecordValues:
+    """Every record is a frozen value: fields in order, compared and hashed by
+    value within its own class, and rebuilt equal by pickle and copy."""
+
+    def test_equal_fields_equal_objects(self, cls, fields, values, other):
+        a, b = cls(*values), cls(**dict(zip(fields, values)))
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert tuple(getattr(a, name) for name in fields) == values
+        assert cls.__match_args__ == fields
+        assert a != cls(*other)
+
+    def test_other_class_with_the_same_fields_is_unequal(self, cls, fields, values, other):
+        same_fields = type("SameFields", (cls,), {"__slots__": ()})
+        assert cls(*values) != same_fields(*values)
+        assert same_fields(*values) != cls(*values)
+        assert cls(*values) != values
+
+    def test_fields_cannot_be_set_or_deleted(self, cls, fields, values, other):
+        record = cls(*values)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == cls(*values)
+
+    def test_new_attribute_raises_attribute_error(self, cls, fields, values, other):
+        # a frozen slotted dataclass raised TypeError here
+        with pytest.raises(AttributeError):
+            cls(*values).extra = 1
+
+    def test_repr_names_each_field(self, cls, fields, values, other):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+        assert repr(cls(*values)) == f"{cls.__name__}({shown})"
+
+    def test_pickle_and_copy_round_trip(self, cls, fields, values, other):
+        record = cls(*values)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(record, protocol))
+            assert type(again) is cls and again == record
+        assert type(copy.copy(record)) is cls and copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+
+
+def test_record_defaults():
+    assert Verdict("accept") == Verdict("accept", None, None, None, None)
+    assert Verdict(code="accept", actual=3).actual == 3
+    assert MsOutcome(False) == MsOutcome(False, None)
+    assert MsOutcome(success=False).partition is None

@@ -146,11 +146,14 @@ class TestBruteForce:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(solver_module, "_PARALLEL_MIN_LEAVES", 64)
         rng = random.Random(9)
         instance = make_instance(2, [rng.randint(1, 20) for _ in range(10)])
         expected = brute_force_opt(instance)
         monkeypatch.setattr(solver_module, "_cpu_count", lambda: 3)
+        # a scan below the threshold stays in this process
+        assert brute_force_opt(instance, workers=100_000) == expected
+        assert started == []
+        monkeypatch.setattr(solver_module, "_PARALLEL_MIN_LEAVES", 64)
         assert brute_force_opt(instance, workers=100_000) == expected
         assert started == [3]
         # with one usable CPU the scan stays in this process
