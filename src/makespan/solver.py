@@ -168,6 +168,15 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _refuse_past_leaf_budget(m: int, n: int, leaf_budget: int) -> None:
+    """The full scan's refusal rule: BudgetExceeded when m^n > leaf_budget,
+    decided and worded without building or printing m^n."""
+    if _power_exceeds(m, n, leaf_budget):
+        raise BudgetExceeded(
+            f"{m}^{n} leaves exceed the budget of {_budget_text(leaf_budget)}"
+        )
+
+
 def brute_force_opt(
     instance: Instance,
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
@@ -190,10 +199,7 @@ def brute_force_opt(
     m = instance.machine_count
     times = instance.processing_times
     n = len(times)
-    if _power_exceeds(m, n, leaf_budget):
-        raise BudgetExceeded(
-            f"{m}^{n} leaves exceed the budget of {_budget_text(leaf_budget)}"
-        )
+    _refuse_past_leaf_budget(m, n, leaf_budget)
     total_leaves = m**n
 
     workers = min(workers, _cpu_count())

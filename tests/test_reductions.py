@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from makespan import (
     BudgetExceeded,
@@ -16,6 +18,7 @@ from makespan import (
     decide,
     decide_partition,
     loads,
+    magic_schedule,
     make_instance,
     mpsp_to_mumpsp,
     mumpsp_flatten,
@@ -24,6 +27,7 @@ from makespan import (
     schedule_to_partition,
     subset_sum_oracle,
 )
+from makespan import reductions, solver
 
 
 def subset_enumeration_oracle(weights, target):
@@ -33,6 +37,26 @@ def subset_enumeration_oracle(weights, target):
             if sum(combo) == target:
                 return True
     return False
+
+
+@st.composite
+def weight_sets(draw):
+    """1 to 14 weights, narrow (1-6) or wide (10^5-10^6): drawn one by one,
+    all equal, or with one weight above half the total.  About half the
+    totals come out odd."""
+    n = draw(st.integers(1, 14))
+    low, high = draw(st.sampled_from([(1, 6), (10**5, 10**6)]))
+    shape = draw(st.sampled_from(["drawn", "equal", "heavy"]))
+    if shape == "equal":
+        return [draw(st.integers(low, high))] * n
+    weights = draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+    if shape == "heavy":
+        weights[draw(st.integers(0, n - 1))] = sum(weights) + draw(st.integers(low, high))
+    return weights
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("decide_partition must not call this")
 
 
 def all_ordered_schedules(m, n):
@@ -89,6 +113,44 @@ class TestDecidePartition:
         # an even total, so the answer is not settled before the scan
         with pytest.raises(BudgetExceeded, match=r"^2\^14285 leaves exceed the budget"):
             decide_partition(PartitionInstance((2,) * 14285))
+
+    def test_budget_at_27_weights(self):
+        with pytest.raises(BudgetExceeded) as info:
+            decide_partition(PartitionInstance((2,) * 27))
+        assert str(info.value) == "2^27 leaves exceed the budget of 67108864"
+
+    def test_top_of_the_budget(self, monkeypatch):
+        # 26 weights, 2^26 leaves: a yes set, and a no set whose weights are
+        # all even while half their total is odd; totals stay within the
+        # oracle's sum budget
+        rng = random.Random(0)
+        yes_set = [rng.randint(10**5, 5 * 10**5) for _ in range(26)]
+        yes_set[-1] += sum(yes_set) % 2
+        no_set = [2 * rng.randint(5 * 10**4, 25 * 10**4 - 1) for _ in range(26)]
+        no_set[-1] += 2 * (1 - sum(no_set) // 2 % 2)
+        expected = [subset_sum_oracle(ws, sum(ws) // 2) for ws in (yes_set, no_set)]
+        assert expected == [True, False]
+        # neither scan nor search nor oracle: the answer is the half sums'
+        for module, name in (
+            (solver, "brute_force_opt"),
+            (solver, "_search"),
+            (reductions, "subset_sum_oracle"),
+        ):
+            monkeypatch.setattr(module, name, _raise)
+        answers = [decide_partition(PartitionInstance(ws)) for ws in (yes_set, no_set)]
+        assert answers == expected
+
+    @given(weight_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_three_oracles(self, weights):
+        pp = PartitionInstance(weights)
+        total = pp.total_weight
+        instance, _ = partition_to_2psp(pp)
+        answer = decide_partition(pp)
+        assert answer == (total % 2 == 0 and subset_sum_oracle(weights, total // 2, total))
+        assert answer == (2 * brute_force_opt(instance).optimum == total)
+        # the balanced-split procedure finds its split by the pruned search
+        assert answer == magic_schedule(instance).success
 
     def test_agrees_with_subset_scan(self):
         rng = random.Random(41)
