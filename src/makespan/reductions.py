@@ -111,38 +111,23 @@ def partition_to_2psp(pp: PartitionInstance) -> tuple[Instance, Fraction]:
     return instance, Fraction(pp.total_weight, 2)
 
 
-def _subset_sums(weights: Sequence[int]) -> list[int]:
-    """The sum of every subset of the weights, one entry per subset, so
-    2^len(weights) entries: the list doubles once per weight."""
-    sums = [0]
-    for w in weights:
-        sums += [s + w for s in sums]
-    return sums
-
-
 def decide_partition(pp: PartitionInstance) -> bool:
     """True iff the weights split into two subsets of equal sum.
 
     The same question as whether the mapped two-machine instance has a
     schedule of makespan total/2: machine 1's jobs are one of the subsets.
-    An odd total is a no.  Otherwise it meets in the middle (Horowitz &
-    Sahni 1974): the subset sums of the second half of the weights go into a
-    set, and the answer is yes iff some subset sum a of the first half has
-    total/2 - a in it.  No tree is walked, and memory is at most 2^ceil(n/2)
-    sums per half.  The full scan's refusal rule is kept, message and all:
-    an even total raises BudgetExceeded, before any work, past
+    An odd total is a no.  Otherwise the answer is solver._splits_evenly's,
+    the half-sum kernel it shares with the balanced-split procedure: no tree
+    is walked.  The full scan's refusal rule is kept, message and all: an
+    even total raises BudgetExceeded, before any work, past
     2^n > DEFAULT_LEAF_BUDGET leaves, so a half never holds more than 2^13
     sums.
     """
     weights = pp.weights
-    total = pp.total_weight
-    if total % 2:
+    if pp.total_weight % 2:
         return False
     solver._refuse_past_leaf_budget(2, len(weights), solver.DEFAULT_LEAF_BUDGET)
-    half = total // 2
-    mid = len(weights) // 2
-    second = set(_subset_sums(weights[mid:]))
-    return not second.isdisjoint(half - a for a in _subset_sums(weights[:mid]))
+    return solver._splits_evenly(weights)
 
 
 def schedule_to_partition(schedule: Sequence[int]) -> tuple[set[int], set[int]]:

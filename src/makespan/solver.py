@@ -6,11 +6,14 @@ search: identical-machine symmetry breaking, an LPT incumbent, a cut at the
 incumbent, a wasted-space cut and a stop at the lower bound.
 ``branch_and_bound``, ``exhaustive_strategy`` and the verifier's ``prove``
 and ``decide`` run it, and it returns the same optimum as the full scan.
-``magic_schedule`` is the two-machine balanced-split procedure: it succeeds
-only when a schedule's makespan equals the ideal half-total exactly, with the
-nondeterministic choice of partition supplied as an explicit, testable
-strategy (the least balanced split from the search, a fixed certificate, or
-random sampling).
+``_splits_evenly`` decides whether weights split into two equal sums from
+two lists of half sums, with no tree walk; ``decide_partition`` and
+``exhaustive_strategy`` share it.  ``magic_schedule`` is the two-machine
+balanced-split procedure: it succeeds only when a schedule's makespan equals
+the ideal half-total exactly, with the nondeterministic choice of partition
+supplied as an explicit, testable strategy (the least balanced split, which
+the half sums decide and the search builds, a fixed certificate, or random
+sampling).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import heapq
 import itertools
 import os
 import random
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
     BudgetExceeded,
@@ -403,13 +406,39 @@ class MsOutcome(_Record):
 SelectPartitionStrategy = Callable[[Instance], Iterable[Schedule]]
 
 
+def _splits_evenly(weights: Sequence[int]) -> bool:
+    """True iff the weights, whose total is even, split into two subsets of
+    equal sum.
+
+    Meets in the middle (Horowitz & Sahni 1974): the sum of every subset of
+    each half of the weights is listed by doubling a list, the second half's
+    go into a set, and the answer is yes iff some first-half sum a has
+    total/2 - a in it.  No tree is walked, and memory is 2^ceil(n/2) sums.
+    Callers answer an odd total themselves, and refuse or fall back past
+    2^n > DEFAULT_LEAF_BUDGET, so a half never holds more than 2^13 sums.
+    """
+    half = sum(weights) // 2
+    mid = len(weights) // 2
+    halves = []
+    for part in (weights[:mid], weights[mid:]):
+        sums = [0]
+        for w in part:
+            sums += [s + w for s in sums]
+        halves.append(sums)
+    first, second = halves
+    return not set(second).isdisjoint(half - a for a in first)
+
+
 def exhaustive_strategy(instance: Instance) -> Iterator[Schedule]:
     """Yield the lexicographically least balanced split, if there is one.
 
-    A balanced split is a schedule of makespan at most total/2, so the pruned
-    search at that threshold finds the least one.  Yields nothing when the
-    total is odd or no split balances.  Raises BudgetExceeded once the search
-    generates more than DEFAULT_LEAF_BUDGET nodes.
+    A balanced split is a schedule of makespan at most total/2.  Yields
+    nothing when the total is odd.  Up to 2^n <= DEFAULT_LEAF_BUDGET the
+    half sums (_splits_evenly) decide whether a split exists, so a "no" walks
+    no tree; on a "yes", and past that size for every even total, the pruned
+    search at threshold total/2 builds the least split.  Raises
+    BudgetExceeded once that search generates more than DEFAULT_LEAF_BUDGET
+    nodes.
     """
     if instance.machine_count != 2:
         raise InvalidInstance(
@@ -418,7 +447,10 @@ def exhaustive_strategy(instance: Instance) -> Iterator[Schedule]:
     total = instance.total_work
     if total % 2:
         return
-    result = _search(2, instance.processing_times, total // 2, DEFAULT_LEAF_BUDGET)
+    times = instance.processing_times
+    if not _power_exceeds(2, len(times), DEFAULT_LEAF_BUDGET) and not _splits_evenly(times):
+        return
+    result = _search(2, times, total // 2, DEFAULT_LEAF_BUDGET)
     if result.best_schedule:
         yield result.best_schedule
 
@@ -454,7 +486,10 @@ def magic_schedule(
     Succeeds on the first candidate whose makespan equals half the total work
     exactly (impossible for odd totals), returning that schedule; fails when
     the strategy's candidates are exhausted.  Raises InvalidInstance for
-    instances with m != 2, and propagates the strategy's BudgetExceeded.
+    instances with m != 2, and propagates the strategy's BudgetExceeded.  A
+    candidate of the wrong length raises LengthMismatch, and one with an
+    entry other than the plain int 1 or 2 raises InvalidMachineIndex (both
+    from loads).
     """
     if instance.machine_count != 2:
         raise InvalidInstance(

@@ -149,7 +149,9 @@ class TestDecidePartition:
         answer = decide_partition(pp)
         assert answer == (total % 2 == 0 and subset_sum_oracle(weights, total // 2, total))
         assert answer == (2 * brute_force_opt(instance).optimum == total)
-        # the balanced-split procedure finds its split by the pruned search
+        # the balanced-split procedure answers from the same half-sum kernel
+        # as decide_partition and builds its split by the pruned search; the
+        # bitset DP and the full scan above stay the independent checks
         assert answer == magic_schedule(instance).success
 
     def test_agrees_with_subset_scan(self):

@@ -9,11 +9,14 @@ from makespan import (
     BudgetExceeded,
     Certificate,
     InvalidInstance,
+    MsOutcome,
+    PartitionInstance,
     SolveResult,
     branch_and_bound,
     brute_force_opt,
     certificate_strategy,
     decide,
+    decide_partition,
     exhaustive_strategy,
     loads,
     magic_schedule,
@@ -458,3 +461,75 @@ class TestMagicSchedule:
             ]
             expected = [min(balanced)] if balanced else []
             assert list(exhaustive_strategy(make_instance(2, times))) == expected
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("this route must not call this")
+
+
+@st.composite
+def split_weights(draw):
+    """1 to 12 weights, narrow (1-6) or wide (10^5-10^6).  Half the draws are
+    forced no sets: every weight is doubled, and the last one raised by 2 if
+    need be, so that half the total is odd while every weight is even."""
+    n = draw(st.integers(1, 12))
+    low, high = draw(st.sampled_from([(1, 6), (10**5, 10**6)]))
+    weights = draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights = [2 * w for w in weights]
+        weights[-1] += 2 * (1 - sum(weights) // 2 % 2)
+    return weights
+
+
+class TestBalancedSplitRoutes:
+    """exhaustive_strategy answers "no" from the half sums and searches only
+    to build the least split; past 2^n > DEFAULT_LEAF_BUDGET it searches."""
+
+    def test_no_sets_skip_the_search(self, monkeypatch):
+        # a 26-weight no set: every weight even, half the total odd
+        rng = random.Random(0)
+        no_set = [2 * rng.randint(5 * 10**4, 25 * 10**4 - 1) for _ in range(26)]
+        no_set[-1] += 2 * (1 - sum(no_set) // 2 % 2)
+        assert not half_sum_reachable(no_set)
+        monkeypatch.setattr(solver_module, "_search", _raise)
+        # [2] * 19 + [4] took about 47 k search nodes to refute
+        for times in ([1, 1, 6], [2] * 19 + [4], no_set):
+            instance = make_instance(2, times)
+            assert list(exhaustive_strategy(instance)) == []
+            assert magic_schedule(instance) == MsOutcome(False, None)
+
+    def test_past_the_gate_the_search_decides(self, monkeypatch):
+        # 2^27 leaves are past the default budget, so the half sums are not
+        # listed and the search, at threshold 76, finds no split
+        calls = []
+        search = solver_module._search
+
+        def counted(*args):
+            calls.append(args[2])
+            return search(*args)
+
+        monkeypatch.setattr(solver_module, "_splits_evenly", _raise)
+        monkeypatch.setattr(solver_module, "_search", counted)
+        instance = make_instance(2, [100] + [2] * 26)
+        assert magic_schedule(instance) == MsOutcome(False, None)
+        assert calls == [76]
+
+    def test_decide_partition_shares_the_kernel(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            solver_module, "_splits_evenly", lambda weights: calls.append(weights) or False
+        )
+        assert not decide_partition(PartitionInstance((2, 3, 5, 4)))
+        assert calls == [(2, 3, 5, 4)]
+
+    @given(split_weights())
+    @settings(max_examples=200, deadline=None)
+    def test_least_balanced_split(self, times):
+        half, odd = divmod(sum(times), 2)
+        balanced = [
+            assign
+            for assign in product((1, 2), repeat=len(times))
+            if not odd and sum(p for p, j in zip(times, assign) if j == 1) == half
+        ]
+        expected = [min(balanced)] if balanced else []
+        assert list(exhaustive_strategy(make_instance(2, times))) == expected
