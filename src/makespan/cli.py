@@ -49,11 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     call in the process.
 
     Sharing is safe because parsing leaves the parser as it found it: every
-    default is immutable, the `_at_least` type closures are pure, `--threads`
-    is resolved when the command runs, and each subcommand dispatches through
-    `set_defaults(func=...)`, which nothing patches.  Each parse_args call
-    fills a fresh Namespace, so no value carries over from one call to the
-    next.  Every caller gets the same object, so none may add to it.
+    default is immutable, the `_at_least` type closures are pure, and each
+    subcommand dispatches through `set_defaults(func=...)`, which nothing
+    patches.  Each parse_args call fills a fresh Namespace, so no value
+    carries over from one call to the next.  Every caller gets the same
+    object, so none may add to it.
     """
     parser = argparse.ArgumentParser(
         prog="makespan",
@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_at_least(1),
         default=None,
-        help="worker processes for the brute-force scan (default: usable CPUs)",
+        help="accepted and ignored: the brute-force scan runs in this process "
+        "(the flag goes with ROADMAP item 1)",
     )
     p.add_argument(
         "--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
@@ -164,9 +165,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance_file)
     if args.method == "brute":
-        result = solver.brute_force_opt(
-            instance, leaf_budget=args.leaf_budget, workers=args.threads or solver._cpu_count()
-        )
+        result = solver.brute_force_opt(instance, leaf_budget=args.leaf_budget)
     else:
         # longest job first: the optimum is the same, the search much shorter
         result = solver.branch_and_bound(

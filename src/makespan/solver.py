@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -37,18 +36,6 @@ from .model import (
 )
 
 DEFAULT_LEAF_BUDGET = 1 << 26
-
-# Fan-out across processes only pays off once a scan is this large.  Wall
-# time of `makespan solve --method brute` in a fresh interpreter on a 2-CPU
-# host, Python 3.11, m=2, medians of ten paired runs per reading (ms):
-#
-#   leaves  default --threads  --threads 1    pool faster in
-#   2^18    181                139            0/10
-#   2^20    199-202            188-202        3/10, 3/10
-#   2^21    218-311            234-335        7/10, 7/10, 6/10
-#   2^22    346-396            329-498        9/10, 6/10, 9/10
-#   2^23    612                956            10/10
-_PARALLEL_MIN_LEAVES = 1 << 22
 
 # The full scan's tail table holds at most this many loads: m^k rows of m.
 _TAIL_CELLS = 1 << 12
@@ -163,14 +150,6 @@ def _scan_subtree(
     return int(best_w), prefix + tuple(a + 1 for a in rest)
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on, which a cgroup or taskset can limit."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _refuse_past_leaf_budget(m: int, n: int, leaf_budget: int) -> None:
     """The full scan's refusal rule: BudgetExceeded when m^n > leaf_budget,
     decided and worded without building or printing m^n."""
@@ -190,44 +169,21 @@ def brute_force_opt(
     Each leaf is priced through _scan_subtree's tail table: the loads that
     every assignment of the jobs just above the last one adds, at most
     _TAIL_CELLS = 2^12 cells, with the last job folded into each row's
-    largest and smallest load.  Memory is O(n*m + 2^12) cells per process.
-    Raises BudgetExceeded before starting any work, or taking m^n, when
-    m^n > leaf_budget.
-    With workers > 1 and at least _PARALLEL_MIN_LEAVES = 2^22 leaves,
-    disjoint prefix subtrees are scanned by separate processes and
-    min-reduced; the result is identical to the sequential scan.  A smaller
-    scan runs in this process whatever `workers` asks for, and no more
-    processes start than this process has CPUs to run on.
+    largest and smallest load.  Memory is O(n*m + 2^12) cells.  The scan runs
+    in this process.  Raises BudgetExceeded before starting any work, or
+    taking m^n, when m^n > leaf_budget.
+    `workers` is accepted and ignored; it goes once the benchmark stops
+    passing it (ROADMAP item 1).
     """
     m = instance.machine_count
     times = instance.processing_times
     n = len(times)
     _refuse_past_leaf_budget(m, n, leaf_budget)
-    total_leaves = m**n
-
-    workers = min(workers, _cpu_count())
-    if workers > 1 and total_leaves >= _PARALLEL_MIN_LEAVES and n > 2:
-        depth = 1
-        while m**depth < workers and depth < n - 1:
-            depth += 1
-        prefixes = list(itertools.product(range(1, m + 1), repeat=depth))
-        # imported here, so that every other command starts without it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
-            results = pool.map(
-                _scan_subtree, itertools.repeat(m), itertools.repeat(times), prefixes
-            )
-            # prefix blocks partition the leaf order and min keeps the first
-            # minimum, so this is the lexicographically least argmin
-            best_w, best_a = min(results, key=lambda result: result[0])
-    else:
-        best_w, best_a = _scan_subtree(m, times, ())
-
+    best_w, best_a = _scan_subtree(m, times, ())
     return SolveResult(
         best_schedule=best_a,
         optimum=best_w,
-        leaves_explored=total_leaves,
+        leaves_explored=m**n,
         nodes_pruned=0,
     )
 
@@ -371,15 +327,14 @@ def branch_and_bound(
     nodes.
     """
     m = instance.machine_count
-    n = instance.job_count
-    if lpt_order:
-        order = sorted(range(n), key=lambda i: (-instance.processing_times[i], i))
-    else:
-        order = list(range(n))
-    times = tuple(instance.processing_times[i] for i in order)
-
+    times = instance.processing_times
+    total = instance.total_work
     # the total work bounds every makespan, so this threshold cuts nothing
-    result = _search(m, times, instance.total_work, node_budget)
+    if not lpt_order:
+        return _search(m, times, total, node_budget)
+    n = len(times)
+    order = sorted(range(n), key=lambda i: (-times[i], i))
+    result = _search(m, tuple(times[i] for i in order), total, node_budget)
     schedule = [0] * n
     for pos, job in enumerate(order):
         schedule[job] = result.best_schedule[pos]

@@ -11,7 +11,7 @@ The tree is never materialized.  Nodes are generated on demand from
 (instance, prefix) and discarded, so leaf enumeration keeps O(n) state.  A
 path walk returns its n+1 nodes, each holding its own prefix, so it takes
 O(n * (n + m)) time and memory.  Disjoint subtrees are addressed by their
-prefixes and may be explored by independent workers.
+prefixes.
 
 The closed-form counters for nodes, schedules, strict prefixes, and
 machine-covering (essential) schedules live here next to the enumeration they

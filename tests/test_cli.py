@@ -245,11 +245,14 @@ class TestSolve:
         code, out, _ = run(capsys, "verify", str(path), str(cert), "--threshold", threshold)
         assert (code, out.strip()) == (0, "accept")
 
-    def test_threads_default_is_usable_cpus(self, monkeypatch):
-        if hasattr(os, "sched_getaffinity"):
-            assert solver._cpu_count() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert solver._cpu_count() == (os.cpu_count() or 1)
+    def test_threads_changes_nothing(self, capsys, tmp_path):
+        # --threads is accepted and ignored, but still refuses a count below 1
+        path = tmp_path / "twelve.json"
+        path.write_text(dump_json({"machines": 3, "jobs": list(range(1, 13))}))
+        plain = run(capsys, "solve", str(path), "--method", "brute")
+        assert plain[0] == 0
+        assert run(capsys, "solve", str(path), "--method", "brute", "--threads", "3") == plain
+        assert run(capsys, "solve", str(path), "--threads", "0")[0] == 2
 
     def test_parse_error_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -387,10 +390,10 @@ class TestEntryPoint:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
-    # Start-up pays for every module the package imports: only the fanned
-    # brute-force scan needs concurrent.futures, only the exact thresholds
-    # need fractions, and the records are plain classes, so no command pays
-    # for dataclasses and the inspect chain it imports.
+    # Start-up pays for every module the package imports: the brute-force
+    # scan runs in this process, so nothing needs concurrent.futures; only
+    # the exact thresholds need fractions, and the records are plain classes,
+    # so no command pays for dataclasses and the inspect chain it imports.
     @pytest.mark.parametrize(
         "module", ["concurrent.futures", "dataclasses", "inspect", "fractions"]
     )

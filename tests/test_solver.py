@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -119,50 +122,37 @@ class TestBruteForce:
             assert result.optimum == expected_value
             assert result.best_schedule == expected_assign  # lexicographic least
 
-    def test_parallel_matches_sequential(self, monkeypatch):
-        monkeypatch.setattr(solver_module, "_PARALLEL_MIN_LEAVES", 64)
-        monkeypatch.setattr(solver_module, "_cpu_count", lambda: 2)
+    def test_workers_change_nothing(self, monkeypatch):
+        # workers= is accepted and ignored: no pool starts, the result is the
+        # in-process scan's
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the full scan started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         rng = random.Random(9)
-        # two workers scan the prefixes (1,) and (2,); at n=14 each subtree
-        # has 2 head nodes above its 11-job tail table, at n=10 one
         for n in (10, 14):
             instance = make_instance(2, [rng.randint(1, 20) for _ in range(n)])
             assert brute_force_opt(instance, workers=4) == brute_force_opt(instance)
 
-    def test_pool_clamped_to_usable_cpus(self, monkeypatch):
-        # a recording stand-in for the pool, so that no process starts
-        import concurrent.futures
-
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        rng = random.Random(9)
-        instance = make_instance(2, [rng.randint(1, 20) for _ in range(10)])
-        expected = brute_force_opt(instance)
-        monkeypatch.setattr(solver_module, "_cpu_count", lambda: 3)
-        # a scan below the threshold stays in this process
-        assert brute_force_opt(instance, workers=100_000) == expected
-        assert started == []
-        monkeypatch.setattr(solver_module, "_PARALLEL_MIN_LEAVES", 64)
-        assert brute_force_opt(instance, workers=100_000) == expected
-        assert started == [3]
-        # with one usable CPU the scan stays in this process
-        monkeypatch.setattr(solver_module, "_cpu_count", lambda: 1)
-        assert brute_force_opt(instance, workers=100_000) == expected
-        assert started == [3]
+    def test_large_scan_imports_no_pool(self, tmp_path):
+        # 2^22 leaves, the size of CI's largest scans, runs in this process too
+        path = tmp_path / "big.json"
+        rng = random.Random(5)
+        jobs = [rng.randint(1, 100_000) for _ in range(22)]
+        path.write_text(json.dumps({"machines": 2, "jobs": jobs}))
+        code = (
+            "import sys\n"
+            "from makespan.cli import main\n"
+            f"code = main(['solve', {str(path)!r}, '--method', 'brute'])\n"
+            "print(code, 'concurrent.futures' in sys.modules, file=sys.stderr)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stderr == "0 False\n"
+        assert json.loads(result.stdout)["leaves_explored"] == 2**22
 
 
 class TestScanSubtree:
