@@ -3,7 +3,8 @@
 ``brute_force_opt`` prices every one of the m^n leaves and returns the
 lexicographically least optimal schedule.  ``_search`` is the one pruned
 search: identical-machine symmetry breaking, an LPT incumbent, a cut at the
-incumbent, a wasted-space cut and a stop at the lower bound.
+incumbent, a wasted-space cut, a load-window cut over the subset sums of the
+last jobs (off at m=2) and a stop at the lower bound.
 ``branch_and_bound``, ``exhaustive_strategy`` and the verifier's ``prove``
 and ``decide`` run it, and it returns the same optimum as the full scan.
 ``_splits_evenly`` decides whether weights split into two equal sums from
@@ -21,6 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
@@ -40,6 +42,10 @@ DEFAULT_LEAF_BUDGET = 1 << 26
 # The full scan's tail table holds at most this many loads: m^k rows of m.
 _TAIL_CELLS = 1 << 12
 
+# The pruned search's window cut keeps the subset sums of the jobs left for
+# this many levels: at most 2^8 sums a level.
+_WINDOW_JOBS = 8
+
 
 class SolveResult(_Record):
     """Outcome of an exact solve.
@@ -47,8 +53,9 @@ class SolveResult(_Record):
     leaves_explored counts priced leaves; nodes_pruned counts the children
     the pruned search does not expand: machines skipped because an earlier
     machine has the same load, children whose largest load reaches the
-    incumbent, and children cut for wasted space (always 0 for the full
-    scan).
+    incumbent, children cut for wasted space, and children cut because the
+    jobs left cannot bring some machine into its load window (always 0 for
+    the full scan).
     """
 
     __slots__ = __match_args__ = ("best_schedule", "optimum", "leaves_explored", "nodes_pruned")
@@ -216,9 +223,22 @@ def _search(
     also cut for wasted space: a machine whose load is within the shortest
     remaining job of cap = incumbent - 1 can take no more jobs, and when the
     space so lost exceeds the slack m*cap - total, the remaining jobs cannot
-    fit under cap.  Both cuts drop only subtrees without a schedule below the
-    incumbent, so the witness does not depend on them.  The search stops as
-    soon as the incumbent reaches `target`, which no schedule beats.
+    fit under cap.  A child is last cut by its load window (Korf 2009;
+    Schreiber, Korf & Moffitt 2018): below cap every final load lies in
+    [total - (m-1)*cap, cap], so a machine of load x needs a subset of the
+    jobs left whose sum brings it there.  For the last _WINDOW_JOBS levels the
+    sorted subset sums of the jobs left are listed, each list on first use,
+    and bisected once per machine.  No two consecutive subset sums lie
+    further apart than gap, a bound of at most the longest job left, so while
+    the slack is at least gap every window holds a sum, and neither the check
+    nor its list is made.  The window cut is off at m=2, where
+    window_from = n leaves gap 0 at every level: there it would make the
+    balanced-split search over ten times faster, but the benchmark keeps
+    every op's record, so the extra ops would overrun its memory bound until
+    ROADMAP item 1 fixes that.  All three cuts drop only subtrees without a
+    schedule below the incumbent, so the witness does not depend on them.
+    The search stops as soon as the incumbent reaches `target`, which no
+    schedule beats.
 
     Raises BudgetExceeded once more than `node_budget` nodes are generated
     (all m children of each expanded node count), or when a path from the
@@ -232,9 +252,33 @@ def _search(
         return SolveResult((), limit, 0, 0)
     # least[k] is the shortest of the jobs from level k on (0 past the end)
     least = list(itertools.accumulate(reversed(times), min))[::-1] + [0]
+    # For the levels k from window_from on, reach[k] is the sorted list of
+    # subset sums of times[k:], built on first use, and no two consecutive
+    # ones are further apart than gap[k]: taking those jobs shortest first,
+    # a job q puts no new sum more than q - (sum of the shorter ones) above
+    # an old one.  gap is 0 on the other levels.
+    window_from = n - _WINDOW_JOBS if m > 2 else n
+    reach: list[list[int] | None] = [None] * n + [[0]]
+    gap = [0] * n
+    for k in range(max(window_from, 0), n):
+        shorter = 0
+        for q in sorted(times[k:]):
+            if q - shorter > gap[k]:
+                gap[k] = q - shorter
+            shorter += q
+
+    def subset_sums(k: int) -> list[int]:
+        below = reach[k + 1] or subset_sums(k + 1)
+        p = times[k]
+        sums = reach[k] = sorted(below + [s + p for s in below])
+        return sums
+
     current = [0] * m
     assign = [0] * n
     best = limit
+    # m*cap - total, the room below cap = best - 1 that the jobs leave; at
+    # least 0 while the search runs, since cap stays at or above target
+    slack = m * (limit - 1) - total
     best_a: Schedule = ()
     leaves = pruned = generated = 0
     last = n - 1
@@ -243,7 +287,7 @@ def _search(
     def visit(level: int, high: int) -> bool:
         """Expand the node at `level` whose largest load is `high`; True once
         the incumbent is optimal."""
-        nonlocal best, best_a, leaves, pruned, generated
+        nonlocal best, best_a, leaves, pruned, generated, slack
         generated += m
         if generated > node_budget:
             raise BudgetExceeded(f"the search generated more than {node_budget} nodes")
@@ -268,6 +312,7 @@ def _search(
                 # the first one of each value the lexicographically least
                 leaves += 1
                 best = top
+                slack = m * (top - 1) - total
                 best_a = tuple(assign)
                 if best <= target:
                     return True
@@ -281,7 +326,6 @@ def _search(
             # the largest load's loss alone usually settles the question.
             if top + shortest >= best:
                 cap = best - 1
-                slack = m * cap - total
                 waste = cap - top
                 if waste <= slack:
                     edge = cap - shortest
@@ -290,6 +334,25 @@ def _search(
                         if x > edge:
                             waste += cap - x
                 if waste > slack:
+                    current[j] = load - p
+                    pruned += 1
+                    continue
+            # Window: a completion below the incumbent leaves every machine at
+            # least floor = total - (m-1)*cap, so one of load x < floor needs
+            # jobs left whose sum lies in [floor - x, cap - x].  Each window
+            # is slack wide, so a slack of at least gap[nxt] leaves a sum in
+            # every one.  floor - x is at most the sum of the jobs left, the
+            # last entry of sums.
+            if slack < gap[nxt]:
+                sums = reach[nxt] or subset_sums(nxt)
+                cap = best - 1
+                floor = cap - slack
+                cut = False
+                for x in current:
+                    if x < floor and sums[bisect_left(sums, floor - x)] > cap - x:
+                        cut = True
+                        break
+                if cut:
                     current[j] = load - p
                     pruned += 1
                     continue
@@ -317,12 +380,13 @@ def branch_and_bound(
     """Exact optimum by the pruned search, seeded with the LPT makespan.
 
     The search skips machines of equal load and cuts children whose largest
-    load reaches the incumbent or whose wasted space leaves the remaining
-    jobs no room below it (see _search).  The optimum always equals
-    brute_force_opt's; the schedule is the lexicographically least optimal
-    one in search order.  With lpt_order=True jobs are considered
-    longest-first, which usually finds good schedules much sooner; the
-    schedule is then least in that order.
+    load reaches the incumbent, whose wasted space leaves the remaining jobs
+    no room below it, or, from m=3 on, where no subset of the last jobs
+    brings some machine into its load window (see _search).  The optimum
+    always equals brute_force_opt's; the schedule is the lexicographically
+    least optimal one in search order.  With lpt_order=True jobs are
+    considered longest-first, which usually finds good schedules much sooner;
+    the schedule is then least in that order.
     Raises BudgetExceeded once the search generates more than `node_budget`
     nodes.
     """

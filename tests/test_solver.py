@@ -330,6 +330,95 @@ class TestBranchAndBound:
                 call(instance)
 
 
+@st.composite
+def window_cases(draw):
+    """m 3-5 and narrow (1-6) or wide (10^5-10^6) times, up to 11 jobs at m=3
+    so that the first levels sit above the _WINDOW_JOBS levels that keep
+    subset sums, and few enough at m=4-5 for the full scan."""
+    m = draw(st.integers(3, 5))
+    low, high = draw(st.sampled_from([(1, 6), (10**5, 10**6)]))
+    n = draw(st.integers(1, {3: 11, 4: 9, 5: 8}[m]))
+    return m, draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+
+
+class TestWindowCut:
+    """The load-window cut: below cap = incumbent - 1 every final load lies in
+    [total - (m-1)*cap, cap], and a child whose jobs left have no subset sum
+    that brings some machine there is cut.  It is off at m=2."""
+
+    def test_window_cut_alone(self):
+        # total 21 over 3 machines, bound 7, LPT 8.  The first leaf
+        # (1, 1, 2, 2, 3, 3) makes the incumbent 8, so cap is 7 and every
+        # final load must be at least 21 - 2 * 7 = 7.  Of the 12 cuts, 6 skip
+        # a machine whose load equals an earlier machine's (2 at the root, 1
+        # each below [4, 0, 0], [8, 0, 0], [8, 8, 0] and [8, 8, 4]), 5 are
+        # load bounds against the incumbent (1 below [8, 0, 0], 2 below
+        # [8, 4, 0], 1 below [8, 8, 0], 1 below [8, 8, 4]), and 1 is the
+        # window cut: the child [4, 4, 0] needs jobs summing to exactly 3 on
+        # a machine of load 4, and the jobs left, 4, 4, 4 and 1, sum to 0, 1,
+        # 4, 5, 8, 9, 12 or 13.  The wasted-space cut fires nowhere in this
+        # search; without the window cut [4, 4, 0] is expanded, and the
+        # search makes 16 cuts.
+        result = branch_and_bound(make_instance(3, [4, 4, 4, 4, 4, 1]))
+        assert result == SolveResult((1, 1, 2, 2, 3, 3), 8, 1, 6 + 5 + 1)
+
+    def test_hard_instance_node_budget(self):
+        # m=3/n=20 with times in [10^5, 10^6], longest first: nearly all of
+        # the search proves that nothing beats the optimum 3717627, 58 above
+        # ceil(total/3).  With the window cut it generates 54,789 nodes;
+        # without it, 1,301,664.
+        rng = random.Random(0)
+        times = sorted((rng.randint(10**5, 10**6) for _ in range(20)), reverse=True)
+        result = branch_and_bound(make_instance(3, times), node_budget=10**5)
+        assert result.optimum == 3717627
+
+    @given(window_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_full_scan(self, case):
+        m, times = case
+        instance = make_instance(m, times)
+        full = brute_force_opt(instance)
+        expected = Certificate(full.best_schedule, full.optimum)
+        lpt = branch_and_bound(instance, lpt_order=True)
+        assert lpt.optimum == full.optimum
+        assert makespan(instance, lpt.best_schedule) == full.optimum
+        assert prove(instance) == expected
+        assert decide(instance, full.optimum) == (True, expected)
+        assert decide(instance, full.optimum - 1) == (False, None)
+
+    # With the cut on at m=2 these three searches would make 25, 33 and 60
+    # cuts; the pinned counts are the search without it.
+    @pytest.mark.parametrize(
+        "times, threshold, expected",
+        [
+            pytest.param(
+                [439563, 258176, 514002, 782554, 150631, 175954, 961168,
+                 661913, 198702, 483452, 711097, 160816, 632084, 1084382],
+                3607247,
+                SolveResult((1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2), 3607247, 1, 1206),
+                id="even split",
+            ),
+            pytest.param(
+                [337718, 488404, 493602, 232466, 302496, 839054, 145904,
+                 189322, 243490, 359460, 950672, 630956, 319568, 520174],
+                3026643,
+                SolveResult((), 3026644, 0, 1471),
+                id="even total, no split",
+            ),
+            pytest.param(
+                [585498, 743002, 491445, 380110, 245269, 295187, 809512,
+                 106747, 454760, 627205, 586247, 734072, 184740, 450249],
+                3362470,
+                SolveResult((1, 1, 2, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2, 1), 3347571, 4, 1454),
+                id="threshold below LPT",
+            ),
+        ],
+    )
+    def test_off_at_two_machines(self, times, threshold, expected):
+        result = solver_module._search(2, tuple(times), threshold, 10**6)
+        assert result == expected
+
+
 class TestSearchWitnesses:
     """prove and decide run the pruned search, yet certify exactly what the
     full scan finds: the lexicographically least optimal schedule."""
