@@ -42,8 +42,14 @@ def _list(value: Any, where: str) -> list:
 
 def _int_list(value: Any, where: str) -> list[int]:
     values = _list(value, where)
+    for v in values:
+        if type(v) is not int:
+            break
+    else:
+        return values
+    # some entry may fail: only now count the entries to name it
     for i, v in enumerate(values):
-        if type(v) is not int:  # name the entry only when it may fail
+        if type(v) is not int:
             _int(v, f"{where}[{i}]")
     return values
 

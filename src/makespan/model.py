@@ -69,9 +69,17 @@ def _int_at_least(
     return value
 
 
-def _positive_ints(values: Iterable[object], what: str) -> None:
+def _positive_ints(values: Sequence[object], what: str) -> None:
     """Refuse the first entry that is not a plain int >= 1, as _int_at_least
-    would, naming entry i (from 1) what.format(i) only once it fails."""
+    would, naming entry i (from 1) what.format(i) only once it fails.
+
+    The first walk tests each value and nothing else; only when one fails
+    does a second walk count the entries to name it."""
+    for v in values:
+        if type(v) is not int or v < 1:
+            break
+    else:
+        return
     for i, v in enumerate(values, 1):
         if type(v) is not int or v < 1:
             _int_at_least(v, 1, what.format(i))
@@ -195,16 +203,25 @@ def loads(instance: Instance, schedule: Sequence[int]) -> list[int]:
             f"{instance.job_count} jobs"
         )
     m = instance.machine_count
-    out = [0] * m
-    for p, machine in zip(instance.processing_times, schedule):
+    # out[j] is machine j's load, so an entry indexes it as it is; out[0]
+    # stays 0, and an entry past m raises IndexError
+    out = [0] * (m + 1)
+    try:
+        for p, machine in zip(instance.processing_times, schedule):
+            if type(machine) is not int or machine < 1:
+                break
+            out[machine] += p
+        else:
+            del out[0]
+            return out
+    except IndexError:
+        pass
+    # some entry failed: only now count the entries to name the first one
+    for job, machine in enumerate(schedule, 1):
         if type(machine) is not int or not 1 <= machine <= m:
-            # the first entry that is this very object is the one that failed
-            job = next(i for i, entry in enumerate(schedule, 1) if entry is machine)
             raise InvalidMachineIndex(
                 f"job {job} assigned to machine {machine!r}, valid range is 1..{m}"
             )
-        out[machine - 1] += p
-    return out
 
 
 def makespan(instance: Instance, schedule: Sequence[int]) -> int:

@@ -4,8 +4,10 @@ A certificate is a schedule plus the makespan its prover claims for it.  The
 verifier replays the certificate as a root-to-leaf walk of the assignment
 tree, carrying the load vector along the path, and accepts only when the walk
 is valid, the claimed makespan equals the leaf weight, and the claim is
-within the caller's threshold.  Verification costs O(n * m) time, independent
-of the m^n solution space.
+within the caller's threshold.  Verification costs O(n + m) time: one
+addition per job, then the m-entry load vector and its max.  That is within
+the O(n * m) bound that puts the problem in NP, and independent of the m^n
+solution space.
 
 Thresholds are integers (every achievable makespan is one); callers holding
 the fractional ideal bound should pass its ceiling.  ``decide`` answers the
@@ -107,7 +109,8 @@ def verify_certificate(
     an exception.
 
     The walk is model.loads, which carries only the load vector down the
-    path, so the check is O(n * m) time and O(m) extra space.
+    path: one addition per job, then the max of the m loads, so the check is
+    O(n + m) time (within the paper's O(n * m) bound) and O(m) extra space.
     """
     try:
         actual = max(loads(instance, cert.schedule))

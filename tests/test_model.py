@@ -17,6 +17,7 @@ from makespan import (
     MsOutcome,
     MumpspInstance,
     PartitionInstance,
+    SchedulingError,
     SolveResult,
     TreeNode,
     Verdict,
@@ -28,6 +29,7 @@ from makespan import (
     schedule_from_job_sets,
     theoretical_opt,
 )
+from makespan.files import FileFormatError, parse_certificate
 from makespan.model import MAX_MACHINES, _power_exceeds
 
 
@@ -220,6 +222,122 @@ class TestInvariants:
         if instance.machine_count == 2:
             constant = len(set(schedule)) == 1
             assert is_essential(instance, schedule) == (not constant)
+
+
+# Entries that some reader refuses: not plain ints, or ints outside a range.
+# The machine number m + 1 is added where there is an m.
+BAD_ENTRIES = (True, 1.0, "1", None, 0, -1, 10**30)
+
+
+@st.composite
+def with_bad_entries(draw, good, extra=()):
+    """A list of `good` values with one to three entries of BAD_ENTRIES (or
+    `extra`) inserted anywhere, the first and the last place most often."""
+    values = draw(st.lists(good, max_size=12))
+    bad = st.sampled_from(BAD_ENTRIES + tuple(extra))
+    for _ in range(draw(st.integers(1, 3))):
+        place = st.sampled_from([0, len(values)]) | st.integers(0, len(values))
+        values.insert(draw(place), draw(bad))
+    return values
+
+
+def raised(call):
+    """(class, message) of the SchedulingError `call` raises, or None."""
+    try:
+        call()
+    except SchedulingError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def reference_loads(m, times, schedule):
+    """Plain walk: the load vector, or the first bad entry's error."""
+    out = [0] * m
+    for job, (p, machine) in enumerate(zip(times, schedule), 1):
+        if type(machine) is not int or not 1 <= machine <= m:
+            message = f"job {job} assigned to machine {machine!r}, valid range is 1..{m}"
+            return InvalidMachineIndex, message
+        out[machine - 1] += p
+    return out
+
+
+def reference_positive(values, what):
+    """Plain walk: the error for the first entry i (from 1) that is not a
+    plain int >= 1, named what.format(i), or None."""
+    for i, v in enumerate(values, 1):
+        if type(v) is not int:
+            return InvalidInstance, f"{what.format(i)} must be an integer, got {v!r}"
+        if v < 1:
+            return InvalidInstance, f"{what.format(i)} must be >= 1, got {v}"
+    return None
+
+
+class TestNamingWalks:
+    """Each reader tests values in a tight loop and counts entries only once
+    one fails; its error must be the one a plain counting walk names."""
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_loads(self, m, data):
+        schedule = data.draw(with_bad_entries(st.integers(1, m), extra=(m + 1,)))
+        times = data.draw(st.lists(st.integers(1, 10**6), min_size=len(schedule),
+                                   max_size=len(schedule)))
+        instance = make_instance(m, times)
+        expected = reference_loads(m, times, schedule)
+        assert raised(lambda: loads(instance, schedule)) == expected
+        assert raised(lambda: loads(instance, tuple(schedule))) == expected
+
+    @given(st.integers(2, 300), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_loads_of_valid_schedules(self, m, data):
+        # n below m too, so that some machines run no job
+        times = data.draw(st.lists(st.integers(1, 10**30), min_size=1, max_size=2 * m))
+        schedule = data.draw(st.lists(st.integers(1, m), min_size=len(times),
+                                      max_size=len(times)))
+        assert loads(make_instance(m, times), schedule) == reference_loads(m, times, schedule)
+
+    @given(with_bad_entries(st.integers(1, 10**30)))
+    @settings(max_examples=200, deadline=None)
+    def test_instance(self, times):
+        expected = reference_positive(times, "processing time of job {}")
+        assert raised(lambda: Instance(3, times)) == expected
+
+    @given(with_bad_entries(st.integers(1, 10**30)))
+    @settings(max_examples=200, deadline=None)
+    def test_partition_instance(self, weights):
+        expected = reference_positive(weights, "weight {}")
+        assert raised(lambda: PartitionInstance(weights)) == expected
+
+    @given(
+        st.lists(st.lists(st.integers(1, 10**30), min_size=1, max_size=4), min_size=1,
+                 max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mumpsp_instance(self, users, data):
+        # one or more users get bad entries
+        for r in data.draw(st.sets(st.integers(0, len(users) - 1), min_size=1)):
+            users[r] = data.draw(with_bad_entries(st.integers(1, 10**30)))
+        expected = None
+        for r, jobs in enumerate(users, 1):
+            expected = reference_positive(jobs, f"processing time {{}} of user {r}")
+            if expected:
+                break
+        assert raised(lambda: MumpspInstance(2, users)) == expected
+
+    @given(with_bad_entries(st.integers(-(10**30), 10**30)))
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_file(self, assignment):
+        # the reader wants plain ints of any value; loads checks the range
+        expected = None
+        for i, v in enumerate(assignment):
+            if type(v) is not int:
+                expected = FileFormatError, f"assignment[{i}]: expected an integer, got {v!r}"
+                break
+        data = {"assignment": assignment, "makespan": 1}
+        assert raised(lambda: parse_certificate(data)) == expected
+        if expected is None:
+            assert parse_certificate(data) == Certificate(tuple(assignment), 1)
 
 
 # Every record type, its field names in order, and two objects' field values

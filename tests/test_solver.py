@@ -45,21 +45,6 @@ def oracle_min_makespan(m, times):
     return best, best_assign
 
 
-def oracle_below_prefix(m, times, prefix):
-    """The oracle's product scan, restricted to the leaves under `prefix`."""
-    best = None
-    best_assign = None
-    for rest in product(range(1, m + 1), repeat=len(times) - len(prefix)):
-        assign = prefix + rest
-        machine_loads = [0] * m
-        for p, j in zip(times, assign):
-            machine_loads[j - 1] += p
-        value = max(machine_loads)
-        if best is None or value < best:
-            best, best_assign = value, assign
-    return best, best_assign
-
-
 def half_sum_reachable(times):
     """Independent subset-sum check via a plain set of achievable sums."""
     total = sum(times)
@@ -156,47 +141,40 @@ class TestBruteForce:
 
 
 class TestScanSubtree:
-    """The full scan below a prefix, against the oracle's product scan."""
+    """The full scan, against the oracle's product scan."""
 
-    def check(self, m, times, prefix):
-        expected = oracle_below_prefix(m, tuple(times), prefix)
-        assert solver_module._scan_subtree(m, tuple(times), prefix) == expected
+    def check(self, m, times):
+        expected = oracle_min_makespan(m, tuple(times))
+        assert solver_module._scan_subtree(m, tuple(times)) == expected
 
-    def test_head_nodes_below_the_prefix(self):
-        # at m=2 the tail table holds 11 jobs, so n = 13-15 with a prefix of
-        # at most n - 13 jobs leaves head levels between prefix and tail
+    def test_head_levels_above_the_tail(self):
+        # at m=2 the tail table holds 11 jobs, so n = 13-15 leaves head
+        # levels above the tail
         rng = random.Random(41)
         for n in (13, 14, 15):
-            for depth in range(n - 12):
-                times = [rng.randint(1, rng.choice((3, 10**6))) for _ in range(n)]
-                self.check(2, times, tuple(rng.randint(1, 2) for _ in range(depth)))
+            times = [rng.randint(1, rng.choice((3, 10**6))) for _ in range(n)]
+            self.check(2, times)
 
     def test_no_tail_jobs(self):
         # from m=65 on, m^2 > 2^12: no job but the last fits in the table
         rng = random.Random(43)
         for m in (65, 66, 70):
-            times = [rng.randint(1, 50) for _ in range(2)]
-            self.check(m, times, ())
-            self.check(m, times, (rng.randint(1, m),))
+            self.check(m, [rng.randint(1, 50) for _ in range(2)])
 
-    def test_prefix_of_all_but_the_last_job(self):
+    def test_small_instances(self):
         rng = random.Random(47)
         for _ in range(40):
             m = rng.randint(2, 5)
             n = rng.randint(1, 6)
-            times = [rng.randint(1, 30) for _ in range(n)]
-            self.check(m, times, tuple(rng.randint(1, m) for _ in range(n - 1)))
+            self.check(m, [rng.randint(1, 30) for _ in range(n)])
 
     def test_equal_times_break_ties_lexicographically(self):
-        rng = random.Random(53)
         for m, n in ((2, 13), (2, 6), (3, 7), (4, 5), (70, 2)):
-            for depth in (0, 1, n - 1):
-                prefix = tuple(rng.randint(1, m) for _ in range(depth))
-                self.check(m, [7] * n, prefix)
+            self.check(m, [7] * n)
 
-    # loads in jobs of time 7 before the last job, per machine, at m=2 and
-    # m=3: the last machine's load y against the largest (t) and the least
-    # (l) of the others'; at m=2 t == l, so y between them means y == t == l
+    # loads in units of 7 before the last job, per machine, at m=2 and m=3:
+    # the last machine's load y against the largest (t) and the least (l) of
+    # the others'; at m=2 t == l, so y between them means y == t == l
     @pytest.mark.parametrize(
         "loads_in_jobs",
         [
@@ -209,23 +187,22 @@ class TestScanSubtree:
     )
     def test_last_machine_and_last_job_in_one_pass(self, loads_in_jobs):
         for counts in loads_in_jobs:
-            m = len(counts)
-            prefix = tuple(j for j, c in enumerate(counts, 1) for _ in range(c))
+            # one job per machine, each longer than all the others together,
+            # so every optimal leaf runs them on distinct machines and the
+            # least one puts job j on machine j: its row has these loads
+            # (plus 10^6 each) before the last job
+            head = [10**6 + 7 * c for c in counts]
             # a last job as long as the others, so that ties must go to the
             # least leaf, and one longer than any gap between two loads
             for q in (7, 30):
-                times = [7] * len(prefix) + [q]
-                for depth in (0, len(prefix)):
-                    self.check(m, times, prefix[:depth])
+                self.check(len(counts), head + [q])
 
-    def test_random_prefixes(self):
+    def test_random_instances(self):
         rng = random.Random(59)
         for _ in range(60):
             m = rng.randint(2, 5)
             n = rng.randint(1, {2: 14, 3: 8, 4: 6, 5: 5}[m])
-            times = [rng.randint(1, rng.choice((2, 100, 10**9))) for _ in range(n)]
-            depth = rng.randint(0, n - 1)
-            self.check(m, times, tuple(rng.randint(1, m) for _ in range(depth)))
+            self.check(m, [rng.randint(1, rng.choice((2, 100, 10**9))) for _ in range(n)])
 
 
 class TestBranchAndBound:
