@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_at_least(1),
         default=None,
         help="accepted and ignored: the brute-force scan runs in this process "
-        "(the flag goes with ROADMAP item 1)",
+        "(the flag goes once the benchmark stops passing it)",
     )
     p.add_argument(
         "--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET, help=BUDGET_HELP

@@ -191,8 +191,9 @@ def mumpsp_user_makespans(
     Each machine runs its sequence back to back from time 0; a job's
     completion time is the sum of its own and all earlier times on its
     machine, and a user's makespan is the latest completion among their jobs.
-    Raises InvalidSchedule when any job is missing, duplicated, or unknown,
-    and LengthMismatch when the machine rows do not match the instance.
+    Raises InvalidSchedule when a machine row is not iterable or any job is
+    missing, duplicated, or unknown, and LengthMismatch when the machine rows
+    do not match the instance.
     """
     if len(schedule) != instance.machine_count:
         raise LengthMismatch(
@@ -206,9 +207,15 @@ def mumpsp_user_makespans(
     }
     seen: set[tuple[int, int]] = set()
     result = [0] * instance.user_count
-    for row in schedule:
+    for machine, row in enumerate(schedule, 1):
+        try:
+            entries = iter(row)
+        except TypeError:  # a flat assignment such as (1, 2)
+            raise InvalidSchedule(
+                f"machine row {machine} is {row!r}, not a sequence of (user, index) jobs"
+            ) from None
         clock = 0
-        for entry in row:
+        for entry in entries:
             try:
                 user, index = entry
                 # plain ints only: (1.0, 1) and (True, 1) both equal (1, 1)

@@ -4,7 +4,9 @@
 lexicographically least optimal schedule.  ``_search`` is the one pruned
 search: identical-machine symmetry breaking, an LPT incumbent, a cut at the
 incumbent, a wasted-space cut, a load-window cut over the subset sums of the
-last jobs (off at m=2) and a stop at the lower bound.
+last jobs (off at m=2; a bound on the gap between consecutive sums is worked
+out for each such level when the search starts, and the check is skipped
+while the slack is at least that bound) and a stop at the lower bound.
 ``branch_and_bound``, ``exhaustive_strategy`` and the verifier's ``prove``
 and ``decide`` run it, and it returns the same optimum as the full scan.
 ``_splits_evenly`` decides whether weights split into two equal sums from
@@ -73,28 +75,50 @@ class SolveResult(_Record):
         _set_field(self, "nodes_pruned", nodes_pruned)
 
 
-def _scan_subtree(m: int, times: tuple[int, ...]) -> tuple[int, Schedule]:
-    """Price every leaf of the assignment tree.
+def _refuse_past_leaf_budget(m: int, n: int, leaf_budget: int) -> None:
+    """The full scan's refusal rule: BudgetExceeded when m^n > leaf_budget,
+    decided and worded without building or printing m^n."""
+    if _power_exceeds(m, n, leaf_budget):
+        raise BudgetExceeded(
+            f"{m}^{n} leaves exceed the budget of {_budget_text(leaf_budget)}"
+        )
 
-    Returns (minimum leaf weight, lexicographically least argmin schedule).
-    The k jobs just above the last one form the tail, k the most that fit
-    above it with m^(k+1) <= _TAIL_CELLS.  A table lists, per machine, the
-    load each of the m^k tail assignments adds to it, in lexicographic
-    order.  The levels above the tail are the head, whose nodes are visited
-    in lexicographic order; at each, every table row is priced at once.
-    Placing the last job q on machine j only raises j's load, so with `top`
-    and `low` the row's largest and smallest load that leaf weighs
-    max(top, load_j + q): the row's least leaf is max(top, low + q), reached
-    first on the first j with load_j + q at most that.  Each machine but the
-    last takes two list passes over the rows, one for `top` and one for
-    `low`; one more pass prices the last machine and the last job together.
-    With t and l the largest and smallest load of the other machines and y
-    the last machine's, the row's least leaf is max(y, l + q) when y > t,
-    max(t, y + q) when y < l, and max(t, l + q) otherwise.  The first
-    minimum in row order, and a strict improvement across head nodes, keep
-    the lexicographically least witness.  Memory is O(n*m + 2^12) cells.
+
+def brute_force_opt(
+    instance: Instance,
+    leaf_budget: int = DEFAULT_LEAF_BUDGET,
+    workers: int = 1,
+) -> SolveResult:
+    """Exact optimum by pricing all m^n leaves, with no incumbent cut.
+
+    Returns the least makespan and the lexicographically least schedule of
+    that makespan.  The k jobs just above the last one form the tail, k the
+    most that fit above it with m^(k+1) <= _TAIL_CELLS.  A table lists, per
+    machine, the load each of the m^k tail assignments adds to it, in
+    lexicographic order.  The levels above the tail are the head, whose
+    nodes are visited in lexicographic order; at each, every table row is
+    priced at once.  Placing the last job q on machine j only raises j's
+    load, so with `top` and `low` the row's largest and smallest load that
+    leaf weighs max(top, load_j + q): the row's least leaf is
+    max(top, low + q), reached first on the first j with load_j + q at most
+    that.  Each machine but the last takes two list passes over the rows,
+    one for `top` and one for `low`; one more pass prices the last machine
+    and the last job together.  With t and l the largest and smallest load
+    of the other machines and y the last machine's, the row's least leaf is
+    max(y, l + q) when y > t, max(t, y + q) when y < l, and max(t, l + q)
+    otherwise.  The first minimum in row order, and a strict improvement
+    across head nodes, keep the lexicographically least witness.  Memory is
+    O(n*m + 2^12) cells, and the scan runs in this process.  Raises
+    BudgetExceeded before starting any work, or taking m^n, when
+    m^n > leaf_budget.
+    `workers` is accepted and ignored; it goes once the benchmark stops
+    passing it.
     """
-    last = len(times) - 1
+    m = instance.machine_count
+    times = instance.processing_times
+    n = len(times)
+    _refuse_past_leaf_budget(m, n, leaf_budget)
+    last = n - 1
     q = times[last]
     k = 0
     while k < last and m ** (k + 2) <= _TAIL_CELLS:
@@ -146,42 +170,9 @@ def _scan_subtree(m: int, times: tuple[int, ...]) -> tuple[int, Schedule]:
         if c + column[best_row] + q <= best_w
     )
     rest = (*best_head, *reversed(tail), last_machine)
-    return int(best_w), tuple(a + 1 for a in rest)
-
-
-def _refuse_past_leaf_budget(m: int, n: int, leaf_budget: int) -> None:
-    """The full scan's refusal rule: BudgetExceeded when m^n > leaf_budget,
-    decided and worded without building or printing m^n."""
-    if _power_exceeds(m, n, leaf_budget):
-        raise BudgetExceeded(
-            f"{m}^{n} leaves exceed the budget of {_budget_text(leaf_budget)}"
-        )
-
-
-def brute_force_opt(
-    instance: Instance,
-    leaf_budget: int = DEFAULT_LEAF_BUDGET,
-    workers: int = 1,
-) -> SolveResult:
-    """Exact optimum by pricing all m^n leaves, with no incumbent cut.
-
-    Each leaf is priced through _scan_subtree's tail table: the loads that
-    every assignment of the jobs just above the last one adds, at most
-    _TAIL_CELLS = 2^12 cells, with the last job folded into each row's
-    largest and smallest load.  Memory is O(n*m + 2^12) cells.  The scan runs
-    in this process.  Raises BudgetExceeded before starting any work, or
-    taking m^n, when m^n > leaf_budget.
-    `workers` is accepted and ignored; it goes once the benchmark stops
-    passing it (ROADMAP item 1).
-    """
-    m = instance.machine_count
-    times = instance.processing_times
-    n = len(times)
-    _refuse_past_leaf_budget(m, n, leaf_budget)
-    best_w, best_a = _scan_subtree(m, times)
     return SolveResult(
-        best_schedule=best_a,
-        optimum=best_w,
+        best_schedule=tuple(a + 1 for a in rest),
+        optimum=int(best_w),
         leaves_explored=m**n,
         nodes_pruned=0,
     )
@@ -221,17 +212,15 @@ def _search(
     jobs left whose sum brings it there.  For the last _WINDOW_JOBS levels the
     sorted subset sums of the jobs left are listed, each list on first use,
     and bisected once per machine.  No two consecutive subset sums lie
-    further apart than gap, a bound of at most the longest job left, so while
-    the slack is at least gap every window holds a sum and the check cuts
-    nothing.  So no check is made while the slack is at least the longest job
-    left; below that, gap is worked out on first use, and no list is made for
-    a check while the slack is at least gap.  The window cut is off at m=2,
-    where window_from = n leaves that longest job 0 at every level: there it
+    further apart than gap, worked out for each of those levels when the
+    search starts, so while the slack is at least gap every window holds a
+    sum, and neither the check nor its list is made.  The window cut is off
+    at m=2, where window_from = n leaves gap 0 at every level: there it
     would make the balanced-split search over ten times faster, but the
     benchmark keeps every op's record, so the extra ops would overrun its
-    memory bound until ROADMAP item 1 fixes that.  All three cuts drop only
-    subtrees without a schedule below the incumbent, so the witness does not
-    depend on them.
+    memory bound until those records take fixed memory.  All three cuts drop
+    only subtrees without a schedule below the incumbent, so the witness does
+    not depend on them.
     The search stops as soon as the incumbent reaches `target`, which no
     schedule beats.
 
@@ -245,41 +234,22 @@ def _search(
     limit = min(_lpt_makespan(m, times), threshold) + 1
     if limit <= target:
         return SolveResult((), limit, 0, 0)
-    # least[k] is the shortest of times[k:] (0 past the end).  For the levels
-    # k from window_from on, reach[k] is the sorted list of subset sums of
-    # times[k:], and no two consecutive ones are further apart than gap:
-    # taking those jobs shortest first, a job q puts no new sum more than
-    # q - (sum of the shorter ones) above an old one.  So gap is at most the
-    # longest of times[k:].  A slack of at least room[k] skips level k's
-    # window check: room[k] is that longest job until window_sums works out
-    # gap, then gap, and 0 on the other levels.
+    # least[k] is the shortest of the jobs from level k on (0 past the end)
+    least = list(itertools.accumulate(reversed(times), min))[::-1] + [0]
+    # For the levels k from window_from on, reach[k] is the sorted list of
+    # subset sums of times[k:], built on first use, and no two consecutive
+    # ones are further apart than gap[k]: taking those jobs shortest first,
+    # a job q puts no new sum more than q - (sum of the shorter ones) above
+    # an old one.  gap is 0 on the other levels.
     window_from = n - _WINDOW_JOBS if m > 2 else n
     reach: list[list[int] | None] = [None] * n + [[0]]
-    least = [0] * (n + 1)
-    room = [0] * (n + 1)
-    shortest = longest = times[-1]
-    for k in range(n - 1, -1, -1):
-        p = times[k]
-        if p < shortest:
-            shortest = p
-        if p > longest:
-            longest = p
-        least[k] = shortest
-        if k >= window_from:
-            room[k] = longest
-
-    def window_sums(k: int) -> list[int]:
-        """reach[k] for a window check at level k whose list is not built
-        yet, or [] once gap shows that the slack leaves a sum in every
-        window.  Each level works gap out at most twice: once to lower
-        room[k], and once more if the slack later falls below it."""
-        g = shorter = 0
+    gap = [0] * n
+    for k in range(max(window_from, 0), n):
+        shorter = 0
         for q in sorted(times[k:]):
-            if q - shorter > g:
-                g = q - shorter
+            if q - shorter > gap[k]:
+                gap[k] = q - shorter
             shorter += q
-        room[k] = g
-        return subset_sums(k) if slack < g else []
 
     def subset_sums(k: int) -> list[int]:
         below = reach[k + 1] or subset_sums(k + 1)
@@ -354,10 +324,11 @@ def _search(
             # Window: a completion below the incumbent leaves every machine at
             # least floor = total - (m-1)*cap, so one of load x < floor needs
             # jobs left whose sum lies in [floor - x, cap - x].  Each window
-            # is slack wide, so a slack of at least gap leaves a sum in every
-            # one, and room[nxt] is never below gap.  floor - x is at most
-            # the sum of the jobs left, the last entry of sums.
-            if slack < room[nxt] and (sums := reach[nxt] or window_sums(nxt)):
+            # is slack wide, so a slack of at least gap[nxt] leaves a sum in
+            # every one.  floor - x is at most the sum of the jobs left, the
+            # last entry of sums.
+            if slack < gap[nxt]:
+                sums = reach[nxt] or subset_sums(nxt)
                 cap = best - 1
                 floor = cap - slack
                 cut = False

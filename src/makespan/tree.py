@@ -184,11 +184,15 @@ def to_dot(
     """Graphviz DOT rendering of the tree down to `max_level`.
 
     Node labels show the assignment configuration and the load vector; edge
-    labels show the job-to-machine action.  Refuses with BudgetExceeded, before
-    any work, when the widest rendered level would exceed `node_cap` nodes.
+    labels show the job-to-machine action.  Raises DomainError unless
+    max_level is a plain int in 0..n and node_cap a plain int >= 1.  Refuses
+    with BudgetExceeded, before any work, when the widest rendered level
+    would exceed `node_cap` nodes.
     """
+    _int_at_least(max_level, 0, "max_level", DomainError)
+    _int_at_least(node_cap, 1, "node cap", DomainError)
     n = instance.job_count
-    if max_level < 0 or max_level > n:
+    if max_level > n:
         raise DomainError(f"max_level must be in 0..{n}, got {max_level}")
     if _power_exceeds(instance.machine_count, max_level, node_cap):
         raise BudgetExceeded(

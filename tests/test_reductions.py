@@ -324,6 +324,18 @@ class TestUserMakespans:
         with pytest.raises(InvalidSchedule):
             mumpsp_user_makespans(instance, (((1, 1), entry), ()))
 
+    @pytest.mark.parametrize(
+        "schedule, machine",
+        [
+            pytest.param((1, 2), 1, id="flat assignment"),
+            pytest.param((((1, 1), (1, 2)), None), 2, id="None row"),
+        ],
+    )
+    def test_row_not_iterable(self, schedule, machine):
+        instance = MumpspInstance(2, ((1, 2),))
+        with pytest.raises(InvalidSchedule, match=rf"^machine row {machine} is "):
+            mumpsp_user_makespans(instance, schedule)
+
     def test_wrong_machine_rows(self):
         instance = MumpspInstance(2, ((1, 2),))
         with pytest.raises(LengthMismatch):

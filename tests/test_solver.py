@@ -145,7 +145,8 @@ class TestScanSubtree:
 
     def check(self, m, times):
         expected = oracle_min_makespan(m, tuple(times))
-        assert solver_module._scan_subtree(m, tuple(times)) == expected
+        result = brute_force_opt(make_instance(m, times))
+        assert (result.optimum, result.best_schedule) == expected
 
     def test_head_levels_above_the_tail(self):
         # at m=2 the tail table holds 11 jobs, so n = 13-15 leaves head
@@ -362,6 +363,63 @@ class TestWindowCut:
         assert prove(instance) == expected
         assert decide(instance, full.optimum) == (True, expected)
         assert decide(instance, full.optimum - 1) == (False, None)
+
+    # The full result of the search, its counts included, on times drawn by
+    # random.Random(m).randint(10**5, 10**6), in file order and longest
+    # first, at the total work and one below the optimum.  A change to how
+    # the cut is set up that moves a count fails here, while the tests
+    # against the full scan, which look only at the optimum and the
+    # witness, still pass.
+    @pytest.mark.parametrize(
+        "m, n, lpt, optimum, at_total, pruned_below",
+        [
+            pytest.param(
+                3, 16, False, 2966740,
+                ((1, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 3, 3, 2, 2, 3), 8, 1409), 1063,
+                id="m3-n16-file",
+            ),
+            pytest.param(
+                3, 16, True, 2966740,
+                ((1, 2, 3, 2, 2, 1, 1, 3, 3, 3, 1, 3, 2, 2, 2, 1), 6, 867), 653,
+                id="m3-n16-lpt",
+            ),
+            pytest.param(
+                4, 13, False, 1336760,
+                ((1, 2, 1, 3, 2, 1, 3, 3, 1, 4, 4, 4, 2), 6, 1129), 688,
+                id="m4-n13-file",
+            ),
+            pytest.param(
+                4, 13, True, 1336760,
+                ((1, 2, 3, 2, 4, 4, 4, 3, 1, 1, 3, 3, 2), 8, 560), 271,
+                id="m4-n13-lpt",
+            ),
+            pytest.param(
+                5, 11, False, 1628998,
+                ((1, 2, 2, 3, 4, 5, 3, 1, 5, 4, 2), 1, 336), 325,
+                id="m5-n11-file",
+            ),
+            pytest.param(
+                5, 11, True, 1628998,
+                ((1, 2, 3, 4, 5, 5, 4, 2, 1, 3, 1), 1, 44), 29,
+                id="m5-n11-lpt",
+            ),
+        ],
+    )
+    def test_pinned_counts(self, m, n, lpt, optimum, at_total, pruned_below):
+        rng = random.Random(m)
+        times = [rng.randint(10**5, 10**6) for _ in range(n)]
+        if lpt:
+            times.sort(reverse=True)
+        times = tuple(times)
+        schedule, leaves, pruned = at_total
+        assert solver_module._search(m, times, sum(times), 10**6) == SolveResult(
+            schedule, optimum, leaves, pruned
+        )
+        # below the optimum no leaf is reached, and the search returns its
+        # starting incumbent, the threshold plus one
+        assert solver_module._search(m, times, optimum - 1, 10**6) == SolveResult(
+            (), optimum, 0, pruned_below
+        )
 
     # With the cut on at m=2 these three searches would make 25, 33 and 60
     # cuts; the pinned counts are the search without it.

@@ -214,8 +214,38 @@ class TestToDot:
             to_dot(demo_instance, 3, node_cap=7)
 
     def test_level_beyond_height(self, demo_instance):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^max_level must be in 0\.\.3, got 4$"):
             to_dot(demo_instance, 4)
+
+    # a level of 3.3 would pass a cap of 10 (2^3.3 is about 9.8) and then
+    # render level 4; True would be taken as level 1
+    @pytest.mark.parametrize(
+        "max_level, message",
+        [
+            pytest.param(3.3, r"^max_level must be an integer, got 3\.3$", id="float"),
+            pytest.param(True, r"^max_level must be an integer, got True$", id="bool"),
+            pytest.param("1", r"^max_level must be an integer, got '1'$", id="str"),
+            pytest.param(-1, r"^max_level must be >= 0, got -1$", id="negative"),
+        ],
+    )
+    def test_level_not_a_plain_int(self, max_level, message):
+        with pytest.raises(DomainError, match=message):
+            to_dot(make_instance(2, [1] * 6), max_level, node_cap=10)
+
+    @pytest.mark.parametrize(
+        "node_cap, message",
+        [
+            pytest.param(1.5, r"^node cap must be an integer, got 1\.5$", id="float"),
+            pytest.param(True, r"^node cap must be an integer, got True$", id="bool"),
+            pytest.param(0, r"^node cap must be >= 1, got 0$", id="zero"),
+        ],
+    )
+    def test_cap_not_a_plain_int(self, node_cap, message):
+        with pytest.raises(DomainError, match=message):
+            to_dot(make_instance(2, [1] * 6), 0, node_cap=node_cap)
+
+    def test_cap_of_one_renders_the_root(self):
+        assert to_dot(make_instance(2, [5]), 0, node_cap=1).count("label=") == 1
 
     def test_more_than_eight_jobs_counts_the_unassigned(self):
         text = to_dot(make_instance(2, list(range(1, 10))), 1)
