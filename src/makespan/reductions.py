@@ -116,18 +116,12 @@ def decide_partition(pp: PartitionInstance) -> bool:
 
     The same question as whether the mapped two-machine instance has a
     schedule of makespan total/2: machine 1's jobs are one of the subsets.
-    An odd total is a no.  Otherwise the answer is solver._splits_evenly's,
-    the half-sum kernel it shares with the balanced-split procedure: no tree
-    is walked.  The full scan's refusal rule is kept, message and all: an
-    even total raises BudgetExceeded, before any work, past
-    2^n > DEFAULT_LEAF_BUDGET leaves, so a half never holds more than 2^13
-    sums.
+    The answer is solver._splits_evenly's, the half-sum kernel it shares
+    with the balanced-split procedure: no tree is walked, an odd total is a
+    no, and an even total past 2^n > DEFAULT_LEAF_BUDGET raises
+    BudgetExceeded before any work.
     """
-    weights = pp.weights
-    if pp.total_weight % 2:
-        return False
-    solver._refuse_past_leaf_budget(2, len(weights), solver.DEFAULT_LEAF_BUDGET)
-    return solver._splits_evenly(weights)
+    return solver._splits_evenly(pp.weights)
 
 
 def schedule_to_partition(schedule: Sequence[int]) -> tuple[set[int], set[int]]:
@@ -191,14 +185,18 @@ def mumpsp_user_makespans(
     Each machine runs its sequence back to back from time 0; a job's
     completion time is the sum of its own and all earlier times on its
     machine, and a user's makespan is the latest completion among their jobs.
-    Raises InvalidSchedule when a machine row is not iterable or any job is
-    missing, duplicated, or unknown, and LengthMismatch when the machine rows
-    do not match the instance.
+    Raises InvalidSchedule when the schedule has no length (an int, None or
+    an iterator), a machine row is not iterable or any job is missing,
+    duplicated, or unknown, and LengthMismatch when the machine rows do not
+    match the instance.
     """
-    if len(schedule) != instance.machine_count:
+    try:
+        rows = len(schedule)
+    except TypeError:
+        raise InvalidSchedule(f"schedule is {schedule!r}, not a sequence of machine rows") from None
+    if rows != instance.machine_count:
         raise LengthMismatch(
-            f"schedule has {len(schedule)} machine rows, instance has "
-            f"{instance.machine_count} machines"
+            f"schedule has {rows} machine rows, instance has {instance.machine_count} machines"
         )
     expected = {
         (r, i)

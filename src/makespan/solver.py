@@ -9,14 +9,15 @@ out for each such level when the search starts, and the check is skipped
 while the slack is at least that bound) and a stop at the lower bound.
 ``branch_and_bound``, ``exhaustive_strategy`` and the verifier's ``prove``
 and ``decide`` run it, and it returns the same optimum as the full scan.
-``_splits_evenly`` decides whether weights split into two equal sums from
-two lists of half sums, with no tree walk; ``decide_partition`` and
-``exhaustive_strategy`` share it.  ``magic_schedule`` is the two-machine
-balanced-split procedure: it succeeds only when a schedule's makespan equals
-the ideal half-total exactly, with the nondeterministic choice of partition
-supplied as an explicit, testable strategy (the least balanced split, which
-the half sums decide and the search builds, a fixed certificate, or random
-sampling).
+``_splits_evenly`` decides from two lists of half sums whether weights split
+into two equal sums, and owns the split rules: an odd total is a no, and
+past 2^n > DEFAULT_LEAF_BUDGET it refuses.  ``decide_partition`` and
+``exhaustive_strategy`` share it: the half sums decide, the search builds
+the least split.  ``magic_schedule`` is the two-machine balanced-split
+procedure: it succeeds only when a schedule's makespan equals the ideal
+half-total exactly, with the nondeterministic choice of partition supplied
+as a testable strategy (the least balanced split, a fixed certificate, or
+random sampling).
 """
 
 from __future__ import annotations
@@ -410,17 +411,19 @@ SelectPartitionStrategy = Callable[[Instance], Iterable[Schedule]]
 
 
 def _splits_evenly(weights: Sequence[int]) -> bool:
-    """True iff the weights, whose total is even, split into two subsets of
-    equal sum.
+    """True iff the weights split into two subsets of equal sum.
 
-    Meets in the middle (Horowitz & Sahni 1974): the sum of every subset of
-    each half of the weights is listed by doubling a list, the second half's
-    go into a set, and the answer is yes iff some first-half sum a has
-    total/2 - a in it.  No tree is walked, and memory is 2^ceil(n/2) sums.
-    Callers answer an odd total themselves, and refuse or fall back past
-    2^n > DEFAULT_LEAF_BUDGET, so a half never holds more than 2^13 sums.
+    An odd total is a no.  Otherwise, past 2^n > DEFAULT_LEAF_BUDGET, it
+    raises the full scan's BudgetExceeded before any work, so a half never
+    holds more than 2^13 sums.  Then the half sums meet in the middle
+    (Horowitz & Sahni 1974): every subset sum of each half of the weights is
+    listed by doubling a list, the second half's go into a set, and the
+    answer is yes iff some first-half sum a has total/2 - a in it.
     """
-    half = sum(weights) // 2
+    half, odd = divmod(sum(weights), 2)
+    if odd:
+        return False
+    _refuse_past_leaf_budget(2, len(weights), DEFAULT_LEAF_BUDGET)
     mid = len(weights) // 2
     halves = []
     for part in (weights[:mid], weights[mid:]):
@@ -435,25 +438,22 @@ def _splits_evenly(weights: Sequence[int]) -> bool:
 def exhaustive_strategy(instance: Instance) -> Iterator[Schedule]:
     """Yield the lexicographically least balanced split, if there is one.
 
-    A balanced split is a schedule of makespan at most total/2.  Yields
-    nothing when the total is odd.  Up to 2^n <= DEFAULT_LEAF_BUDGET the
-    half sums (_splits_evenly) decide whether a split exists, so a "no" walks
-    no tree; on a "yes", and past that size for every even total, the pruned
-    search at threshold total/2 builds the least split.  Raises
-    BudgetExceeded once that search generates more than DEFAULT_LEAF_BUDGET
-    nodes.
+    A balanced split is a schedule of makespan at most total/2.  Up to
+    2^n <= DEFAULT_LEAF_BUDGET the half sums (_splits_evenly) decide whether
+    a split exists, so a "no" walks no tree; on a "yes", and past that size,
+    the pruned search at threshold total/2 builds the least split.  Past it
+    an odd total costs the search no node: its lower bound ceil(total/2)
+    already exceeds the threshold.  Raises BudgetExceeded once that search
+    generates more than DEFAULT_LEAF_BUDGET nodes.
     """
     if instance.machine_count != 2:
         raise InvalidInstance(
             f"balanced-split search needs 2 machines, got {instance.machine_count}"
         )
-    total = instance.total_work
-    if total % 2:
-        return
     times = instance.processing_times
     if not _power_exceeds(2, len(times), DEFAULT_LEAF_BUDGET) and not _splits_evenly(times):
         return
-    result = _search(2, times, total // 2, DEFAULT_LEAF_BUDGET)
+    result = _search(2, times, instance.total_work // 2, DEFAULT_LEAF_BUDGET)
     if result.best_schedule:
         yield result.best_schedule
 

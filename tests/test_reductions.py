@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -118,6 +119,10 @@ class TestDecidePartition:
         with pytest.raises(BudgetExceeded) as info:
             decide_partition(PartitionInstance((2,) * 27))
         assert str(info.value) == "2^27 leaves exceed the budget of 67108864"
+
+    def test_odd_total_past_the_budget(self):
+        # 27 weights: the odd total answers before the 2^27 refusal
+        assert decide_partition(PartitionInstance((1,) + (2,) * 26)) is False
 
     def test_top_of_the_budget(self, monkeypatch):
         # 26 weights, 2^26 leaves: a yes set, and a no set whose weights are
@@ -334,6 +339,19 @@ class TestUserMakespans:
     def test_row_not_iterable(self, schedule, machine):
         instance = MumpspInstance(2, ((1, 2),))
         with pytest.raises(InvalidSchedule, match=rf"^machine row {machine} is "):
+            mumpsp_user_makespans(instance, schedule)
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            pytest.param(3, id="int"),
+            pytest.param(None, id="None"),
+            pytest.param(iter((((1, 1), (1, 2)), ())), id="iterator of rows"),
+        ],
+    )
+    def test_schedule_without_length(self, schedule):
+        instance = MumpspInstance(2, ((1, 2),))
+        with pytest.raises(InvalidSchedule, match=rf"^schedule is {re.escape(repr(schedule))}, "):
             mumpsp_user_makespans(instance, schedule)
 
     def test_wrong_machine_rows(self):

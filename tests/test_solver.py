@@ -5,7 +5,7 @@ import sys
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from makespan import (
@@ -27,6 +27,7 @@ from makespan import (
     makespan,
     prove,
     random_strategy,
+    subset_sum_oracle,
 )
 from makespan import solver as solver_module
 
@@ -635,6 +636,23 @@ class TestBalancedSplitRoutes:
         )
         assert not decide_partition(PartitionInstance((2, 3, 5, 4)))
         assert calls == [(2, 3, 5, 4)]
+
+    def test_odd_total_past_the_gate(self):
+        # 27 weights, total 53: the search's lower bound 27 is above the
+        # threshold 26, so it answers before generating a node
+        instance = make_instance(2, [1] + [2] * 26)
+        assert list(exhaustive_strategy(instance)) == []
+        result = solver_module._search(2, instance.processing_times, 26, 1)
+        assert (result.leaves_explored, result.nodes_pruned) == (0, 0)
+
+    @given(split_weights())
+    @example([1, 2])
+    @example([3, 3, 1])
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_answers_odd_totals(self, weights):
+        total = sum(weights)
+        expected = total % 2 == 0 and subset_sum_oracle(weights, total // 2, total)
+        assert solver_module._splits_evenly(weights) == expected
 
     @given(split_weights())
     @settings(max_examples=200, deadline=None)
