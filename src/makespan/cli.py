@@ -4,6 +4,12 @@ decision, reductions, and DOT export.
 Exit codes are stable so shell pipelines can branch on them:
 0 success / accept / yes, 1 reject / no, 2 usage or parse error or a
 closed stdout, 3 exploration budget exceeded.
+
+Each command loads only the modules it runs.  `files` and `model` are
+imported here, because `main` maps their exceptions to exit codes; each
+handler imports `tree`, `solver`, `verifier` or `reductions` itself, so
+`count`, `gen` and `dot` start without the solver, and `solve` imports it
+only once its instance file has loaded.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ import os
 import random
 import sys
 
-from . import files, reductions, solver, tree, verifier
+from . import files
 from .files import FileFormatError
-from .model import BudgetExceeded, DomainError
+from .model import DEFAULT_LEAF_BUDGET, DEFAULT_NODE_CAP, BudgetExceeded, DomainError
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -84,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(the flag goes once the benchmark stops passing it)",
     )
     p.add_argument(
-        "--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
+        "--leaf-budget", type=_at_least(1), default=DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
     )
     p.set_defaults(func=_cmd_solve)
 
@@ -99,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=_at_least(1), required=True)
     p.add_argument("--witness-out", help="also write the witness certificate here")
     p.add_argument(
-        "--leaf-budget", type=_at_least(1), default=solver.DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
+        "--leaf-budget", type=_at_least(1), default=DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
     )
     p.set_defaults(func=_cmd_decide)
 
@@ -119,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", help="Graphviz rendering of the assignment tree")
     p.add_argument("instance_file")
     p.add_argument("--max-level", type=_at_least(0), required=True)
-    p.add_argument("--node-cap", type=_at_least(1), default=tree.DEFAULT_NODE_CAP)
+    p.add_argument("--node-cap", type=_at_least(1), default=DEFAULT_NODE_CAP)
     p.set_defaults(func=_cmd_dot)
 
     return parser
@@ -141,6 +147,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from . import tree
+
     m, n = args.m, args.n
     # m**n is refused before it is taken, then the node count, the largest
     # number printed
@@ -164,6 +172,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance_file)
+    from . import solver
+
     if args.method == "brute":
         result = solver.brute_force_opt(instance, leaf_budget=args.leaf_budget)
     else:
@@ -185,6 +195,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verifier
+
     instance = files.load_instance(args.instance_file)
     cert = files.load_certificate(args.certificate_file)
     verdict = verifier.verify_certificate(instance, cert, args.threshold)
@@ -193,6 +205,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
+    from . import verifier
+
     instance = files.load_instance(args.instance_file)
     yes, witness = verifier.decide(instance, args.threshold, node_budget=args.leaf_budget)
     if not yes:
@@ -212,6 +226,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce_partition(args: argparse.Namespace) -> int:
+    from . import reductions
+
     pp = files.load_partition(args.partition_file)
     instance, threshold = reductions.partition_to_2psp(pp)
     # stdout stays a pure instance file so it pipes straight into `decide`
@@ -221,6 +237,8 @@ def _cmd_reduce_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce_mumpsp(args: argparse.Namespace) -> int:
+    from . import reductions
+
     instance = files.load_instance(args.instance_file)
     mapped = reductions.mpsp_to_mumpsp(instance)
     print(files.dump_json(files.mumpsp_to_json(mapped)))
@@ -228,6 +246,8 @@ def _cmd_reduce_mumpsp(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
+    from . import tree
+
     instance = files.load_instance(args.instance_file)
     sys.stdout.write(tree.to_dot(instance, args.max_level, node_cap=args.node_cap))
     return EXIT_OK

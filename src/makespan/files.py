@@ -10,6 +10,10 @@ every parse failure names the offending field:
 
 Files check JSON shape and the digit rule; builders check every value.
 `Certificate` validates nothing, so its fields are checked here.
+
+Only `model` is imported up front: `parse_partition` imports `reductions`
+and `parse_certificate` imports `verifier` when first called, so a command
+that reads only instance files loads neither.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .model import Instance, InvalidInstance, SchedulingError, _power_exceeds, make_instance
-from .reductions import MumpspInstance, PartitionInstance
-from .verifier import Certificate
+
+if TYPE_CHECKING:
+    from .reductions import MumpspInstance, PartitionInstance
+    from .verifier import Certificate
 
 
 class FileFormatError(SchedulingError):
@@ -101,12 +107,16 @@ def parse_instance(data: Any) -> Instance:
 
 
 def parse_partition(data: Any) -> PartitionInstance:
+    from .reductions import PartitionInstance
+
     partition = _parse("partition", data, {"weights": _list}, PartitionInstance)
     _check_printable(partition.total_weight, "weights: total")
     return partition
 
 
 def parse_certificate(data: Any) -> Certificate:
+    from .verifier import Certificate
+
     return _parse(
         "certificate",
         data,

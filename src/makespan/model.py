@@ -24,6 +24,14 @@ Schedule = tuple[int, ...]
 # most this many machines: 8 MiB of pointers per vector.
 MAX_MACHINES = 1 << 20
 
+# Most leaves the full scan may price, or nodes the pruned search may
+# generate, unless the caller passes a budget: shared by solver, verifier and CLI.
+DEFAULT_LEAF_BUDGET = 1 << 26
+
+# Most nodes the widest level of a DOT rendering may hold, unless the caller
+# passes a cap: shared by tree and CLI.
+DEFAULT_NODE_CAP = 4096
+
 
 class SchedulingError(Exception):
     """Base class for every error raised by this package."""
@@ -193,14 +201,20 @@ def loads(instance: Instance, schedule: Sequence[int]) -> list[int]:
     """Per-machine load vector: entry j-1 sums the times of jobs on machine j.
 
     This is the one validated walk of a schedule: raises LengthMismatch
-    unless there is one entry per job, and InvalidMachineIndex for any entry
-    that is not a plain int (so not a bool) in 1..machine_count.  The entries
-    always sum to the instance's total work.
+    unless the schedule has a length and one entry per job (so None, an int
+    or an iterator is refused), and InvalidMachineIndex for any entry that is
+    not a plain int (so not a bool) in 1..machine_count.  The entries always
+    sum to the instance's total work.
     """
-    if len(schedule) != instance.job_count:
+    try:
+        length = len(schedule)
+    except TypeError:
         raise LengthMismatch(
-            f"assignment has {len(schedule)} entries, instance has "
-            f"{instance.job_count} jobs"
+            f"assignment {schedule!r} has no length, instance has {instance.job_count} jobs"
+        ) from None
+    if length != instance.job_count:
+        raise LengthMismatch(
+            f"assignment has {length} entries, instance has {instance.job_count} jobs"
         )
     m = instance.machine_count
     # out[j] is machine j's load, so an entry indexes it as it is; out[0]

@@ -29,6 +29,7 @@ from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
+    DEFAULT_LEAF_BUDGET,
     BudgetExceeded,
     Instance,
     InvalidInstance,
@@ -39,8 +40,6 @@ from .model import (
     _set_field,
     loads,
 )
-
-DEFAULT_LEAF_BUDGET = 1 << 26
 
 # The full scan's tail table holds at most this many loads: m^k rows of m.
 _TAIL_CELLS = 1 << 12

@@ -28,6 +28,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .model import (
+    DEFAULT_NODE_CAP,
     BudgetExceeded,
     DomainError,
     Instance,
@@ -39,8 +40,6 @@ from .model import (
     _set_field,
     loads,
 )
-
-DEFAULT_NODE_CAP = 4096
 
 
 class TreeNode(_Record):

@@ -18,6 +18,7 @@ the prover role by emitting the optimal certificate.
 from __future__ import annotations
 
 from .model import (
+    DEFAULT_LEAF_BUDGET,
     Instance,
     InvalidMachineIndex,
     LengthMismatch,
@@ -27,7 +28,6 @@ from .model import (
     loads,
 )
 from .solver import (
-    DEFAULT_LEAF_BUDGET,
     _search,
     brute_force_opt,  # noqa: F401  bench/spans.py wraps verifier.brute_force_opt
 )

@@ -24,10 +24,12 @@ from makespan import (
     is_essential,
     job_sets,
     loads,
+    magic_schedule,
     make_instance,
     makespan,
     schedule_from_job_sets,
     theoretical_opt,
+    walk_path,
 )
 from makespan.files import FileFormatError, parse_certificate
 from makespan.model import MAX_MACHINES, _power_exceeds
@@ -125,6 +127,27 @@ class TestLoads:
     def test_length_mismatch(self, demo_instance):
         with pytest.raises(LengthMismatch):
             loads(demo_instance, (1, 1))
+
+    # a schedule with no length is refused as one of the wrong length, never
+    # with the TypeError of len()
+    @pytest.mark.parametrize(
+        "schedule",
+        [None, 5, iter([1, 2]), (machine for machine in (1, 1, 2))],
+        ids=["None", "int", "iterator", "generator"],
+    )
+    def test_no_length(self, demo_instance, schedule):
+        with pytest.raises(LengthMismatch, match="has no length, instance has 3 jobs"):
+            loads(demo_instance, schedule)
+
+    @pytest.mark.parametrize("validate", [makespan, is_essential, job_sets, walk_path])
+    def test_no_length_through_every_validator(self, demo_instance, validate):
+        with pytest.raises(LengthMismatch):
+            validate(demo_instance, iter((1, 1, 2)))
+
+    def test_no_length_candidate(self):
+        instance = make_instance(2, [1, 1])
+        with pytest.raises(LengthMismatch):
+            magic_schedule(instance, lambda _: [iter((1, 2))])
 
     def test_bad_machine(self, demo_instance):
         with pytest.raises(InvalidMachineIndex):

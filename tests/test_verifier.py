@@ -56,6 +56,16 @@ class TestVerifyCertificate:
     def test_describe_every_variant(self, demo_instance, cert, threshold, line):
         assert verify_certificate(demo_instance, cert, threshold).describe() == line
 
+    # every failure is a verdict, so a schedule with no length is one too
+    @pytest.mark.parametrize(
+        "schedule",
+        [None, 5, iter([1, 2]), (machine for machine in (1, 1, 2))],
+        ids=["None", "int", "iterator", "generator"],
+    )
+    def test_no_length(self, demo_instance, schedule):
+        verdict = verify_certificate(demo_instance, Certificate(schedule, 3), 3)
+        assert verdict.describe() == "reject_invalid_schedule reason=length_mismatch"
+
     def test_wrong_makespan(self, demo_instance):
         verdict = verify_certificate(demo_instance, Certificate((1, 1, 2), 2), 3)
         assert verdict.code == REJECT_WRONG_MAKESPAN
