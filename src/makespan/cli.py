@@ -9,15 +9,13 @@ Each command loads only the modules it runs.  `files` and `model` are
 imported here, because `main` maps their exceptions to exit codes; each
 handler imports `tree`, `solver`, `verifier` or `reductions` itself, so
 `count`, `gen` and `dot` start without the solver, and `solve` imports it
-only once its instance file has loaded.
+only once its instance file has loaded.  The standard library follows the
+same rule: only `gen` imports `random`.
 """
-
-from __future__ import annotations
 
 import argparse
 import functools
 import os
-import random
 import sys
 
 from . import files
@@ -138,6 +136,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     chars = args.n * ((args.pmax.bit_length() - 1) * 3 // 10 + 2)
     if chars > MAX_GEN_CHARS:
         raise DomainError(f"--n times --pmax's digits: at most {MAX_GEN_CHARS} characters, got {chars}")
+    import random
+
     rng = random.Random(args.seed)
     jobs = [rng.randint(1, args.pmax) for _ in range(args.n)]
     # the file rules refuse what the other commands could not load

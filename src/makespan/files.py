@@ -13,14 +13,14 @@ Files check JSON shape and the digit rule; builders check every value.
 
 Only `model` is imported up front: `parse_partition` imports `reductions`
 and `parse_certificate` imports `verifier` when first called, so a command
-that reads only instance files loads neither.
+that reads only instance files loads neither.  Their classes appear in
+annotations only as quoted names.  Files are read through `open` and
+`json.load`, which import nothing more.
 """
 
-from __future__ import annotations
-
 import json
+import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 from .model import Instance, InvalidInstance, SchedulingError, _power_exceeds, make_instance
@@ -106,7 +106,7 @@ def parse_instance(data: Any) -> Instance:
     return instance
 
 
-def parse_partition(data: Any) -> PartitionInstance:
+def parse_partition(data: Any) -> "PartitionInstance":
     from .reductions import PartitionInstance
 
     partition = _parse("partition", data, {"weights": _list}, PartitionInstance)
@@ -114,7 +114,7 @@ def parse_partition(data: Any) -> PartitionInstance:
     return partition
 
 
-def parse_certificate(data: Any) -> Certificate:
+def parse_certificate(data: Any) -> "Certificate":
     from .verifier import Certificate
 
     return _parse(
@@ -125,11 +125,13 @@ def parse_certificate(data: Any) -> Certificate:
     )
 
 
-def load_json(path: str | Path) -> Any:
+def load_json(path: str | os.PathLike) -> Any:
     """The parsed JSON value in `path`; every way reading or parsing it can
-    fail is a FileFormatError."""
+    fail is a FileFormatError.  An int is refused with TypeError, never read
+    as a file descriptor."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(os.fspath(path), encoding="utf-8") as handle:
+            return json.load(handle)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -142,15 +144,15 @@ def load_json(path: str | Path) -> Any:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def load_instance(path: str | Path) -> Instance:
+def load_instance(path: str | os.PathLike) -> Instance:
     return parse_instance(load_json(path))
 
 
-def load_partition(path: str | Path) -> PartitionInstance:
+def load_partition(path: str | os.PathLike) -> "PartitionInstance":
     return parse_partition(load_json(path))
 
 
-def load_certificate(path: str | Path) -> Certificate:
+def load_certificate(path: str | os.PathLike) -> "Certificate":
     return parse_certificate(load_json(path))
 
 
@@ -158,14 +160,14 @@ def instance_to_json(instance: Instance) -> dict:
     return {"machines": instance.machine_count, "jobs": list(instance.processing_times)}
 
 
-def mumpsp_to_json(instance: MumpspInstance) -> dict:
+def mumpsp_to_json(instance: "MumpspInstance") -> dict:
     return {
         "machines": instance.machine_count,
         "users": [list(jobs) for jobs in instance.user_job_lists],
     }
 
 
-def certificate_to_json(cert: Certificate) -> dict:
+def certificate_to_json(cert: "Certificate") -> dict:
     return {"assignment": list(cert.schedule), "makespan": cert.claimed_makespan}
 
 

@@ -10,8 +10,6 @@ every downstream equality check bit-exact.
 Machine indices are 1-based everywhere in the public surface.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -249,7 +247,7 @@ def is_essential(instance: Instance, schedule: Sequence[int]) -> bool:
     return len(set(schedule)) == instance.machine_count
 
 
-def theoretical_opt(instance: Instance) -> Fraction:
+def theoretical_opt(instance: Instance) -> "Fraction":
     """Perfectly balanced makespan total_work / machine_count as an exact
     fraction.
 
@@ -289,8 +287,9 @@ def schedule_from_job_sets(job_sets_: Sequence[Iterable[int]]) -> Schedule:
             if job in assignment:
                 raise InvalidSchedule(f"job {job} appears on more than one machine")
             assignment[job] = machine
+    # n distinct ids cover 1..n unless one lies outside it
     n = len(assignment)
-    if set(assignment) != set(range(1, n + 1)):
-        missing = sorted(set(range(1, n + 1)) - set(assignment))
-        raise InvalidSchedule(f"job sets do not cover 1..{n} (first gap at {missing[:1]})")
+    for job in assignment:
+        if not 1 <= job <= n:
+            raise InvalidSchedule(f"job id {job} is outside 1..{n}")
     return tuple(assignment[job] for job in range(1, n + 1))

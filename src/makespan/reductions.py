@@ -17,8 +17,6 @@ completion times depend on it (the overall makespan does not).  Machines run
 their sequences back to back from time 0 with no inserted idleness.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .model import (
@@ -96,7 +94,7 @@ class MumpspInstance(_Record):
         return sum(len(jobs) for jobs in self.user_job_lists)
 
 
-def partition_to_2psp(pp: PartitionInstance) -> tuple[Instance, Fraction]:
+def partition_to_2psp(pp: PartitionInstance) -> tuple[Instance, "Fraction"]:
     """Map a partition instance to (two-machine instance, half-total
     threshold).
 

@@ -20,11 +20,8 @@ as a testable strategy (the least balanced split, a fixed certificate, or
 random sampling).
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
-import random
 from bisect import bisect_left
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -469,6 +466,7 @@ def certificate_strategy(schedule: Iterable[int]) -> SelectPartitionStrategy:
 
 def random_strategy(seed: int, trials: int) -> SelectPartitionStrategy:
     """Strategy that samples `trials` assignments uniformly at random."""
+    import random
 
     def candidates(instance: Instance) -> Iterator[Schedule]:
         rng = random.Random(seed)

@@ -21,8 +21,6 @@ inclusion-exclusion surjection count ``count_essential_exact`` is the true
 value, and the two coincide exactly when m = 2.  Both are exposed on purpose.
 """
 
-from __future__ import annotations
-
 import itertools
 from math import comb
 from typing import Iterator, Sequence

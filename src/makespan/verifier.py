@@ -15,8 +15,6 @@ threshold decision question exactly by the pruned search, and ``prove`` plays
 the prover role by emitting the optimal certificate.
 """
 
-from __future__ import annotations
-
 from .model import (
     DEFAULT_LEAF_BUDGET,
     Instance,

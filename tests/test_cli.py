@@ -20,6 +20,7 @@ from makespan.files import (
     dump_json,
     load_certificate,
     load_instance,
+    load_json,
     parse_certificate,
     parse_instance,
     parse_partition,
@@ -129,6 +130,41 @@ class TestFiles:
         bad.write_text('{"machines": 2,\n "jobs": [1,]}')
         with pytest.raises(FileFormatError, match="line 2"):
             load_instance(bad)
+
+    @pytest.mark.parametrize("load", [load_json, load_instance])
+    def test_int_path_refused_unread(self, load, demo_file):
+        # open would read an int as a file descriptor
+        fd = os.open(demo_file, os.O_RDONLY)
+        try:
+            for path in (fd, 0, 3):
+                with pytest.raises(TypeError):
+                    load(path)
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+        finally:
+            os.close(fd)
+
+    @pytest.mark.parametrize(
+        "content,reason",
+        [
+            ("directory", "Is a directory"),
+            (None, "No such file or directory"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (
+                b"[" * 100_000 + b"]" * 100_000,
+                "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+            ),
+        ],
+        ids=["directory", "missing", "not-utf8", "nested"],
+    )
+    def test_read_failure_message(self, tmp_path, content, reason):
+        path = tmp_path / "input.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(FileFormatError) as excinfo:
+            load_json(str(path))
+        assert str(excinfo.value) == f"{path}: {reason}"
 
 
 class TestGen:

@@ -206,6 +206,20 @@ class TestJobSets:
         with pytest.raises(InvalidSchedule):
             schedule_from_job_sets([{1}, {3}])
 
+    @pytest.mark.parametrize(
+        "sets,message",
+        [
+            ([[0], [1]], "job id 0 is outside 1..2"),
+            ([[-1, 1, 2]], "job id -1 is outside 1..3"),
+            ([{1}, {3}], "job id 3 is outside 1..2"),
+        ],
+        ids=["zero", "negative", "past-n"],
+    )
+    def test_id_outside_range_named(self, sets, message):
+        with pytest.raises(InvalidSchedule) as excinfo:
+            schedule_from_job_sets(sets)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("sets", [[{True}, {2}], [{1}, {2.0}]])
     def test_non_int_job_rejected(self, sets):
         with pytest.raises(InvalidSchedule, match="is not an integer"):

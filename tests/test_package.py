@@ -2,6 +2,7 @@
 each command load."""
 
 import importlib
+import os
 import subprocess
 import sys
 
@@ -41,11 +42,18 @@ PUBLIC = {
 }
 
 
-def fresh(code: str, *args: str) -> str:
+def fresh(code: str, *args: str, flags: tuple[str, ...] = ()) -> str:
     """stdout of `code` run in a new interpreter, which has imported nothing
-    of the package yet."""
+    of the package yet; `flags` go to the interpreter.  The package is found
+    through PYTHONPATH, so it loads also under -S, which skips site-packages."""
+    source = os.path.dirname(os.path.dirname(makespan.__file__))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return result.stdout
 
@@ -78,14 +86,15 @@ class TestPublicSurface:
         assert fresh("import makespan; print(makespan.solver.__name__)") == "makespan.solver\n"
 
 
-# Runs one command through cli.main, then prints the package modules loaded.
-# Only makespan.* names are checked: the interpreter's own start-up may
-# already import stdlib modules such as random or typing.
+# Runs one command through cli.main, then prints every module loaded.  The
+# interpreter's start-up may import stdlib modules itself (site does, through
+# the .pth files of some installs), so stdlib names are checked only in an
+# interpreter started with -S, which skips site.
 RUN_AND_LIST = (
     "import sys\n"
     "from makespan.cli import main\n"
     "main(sys.argv[1:])\n"
-    "print(*sorted(name for name in sys.modules if name.startswith('makespan.')))\n"
+    "print(*sorted(sys.modules))\n"
 )
 
 SEARCH_MODULES = {"makespan.solver", "makespan.reductions", "makespan.verifier"}
@@ -113,3 +122,38 @@ class TestModulesLoaded:
         loaded = set(out.splitlines()[-1].split())
         assert "makespan.cli" in loaded
         assert not loaded & left_out
+
+
+# The stdlib modules a command may load only when it runs them: annotations
+# are evaluated without __future__, files are read without pathlib, and only
+# gen draws from random.
+LAZY_STDLIB = {"__future__", "pathlib", "random"}
+
+
+class TestStdlibLoaded:
+    @pytest.mark.parametrize(
+        "argv,loads",
+        [
+            (["count", "--m", "2", "--n", "3"], set()),
+            (["gen", "--seed", "1", "--m", "2", "--n", "3", "--pmax", "9"], {"random"}),
+            (["dot", "{dir}/demo.json", "--max-level", "1"], set()),
+            (["verify", "{dir}/demo.json", "{dir}/cert.json", "--threshold", "3"], set()),
+            (["decide", "{dir}/demo.json", "--threshold", "3"], set()),
+            (["reduce-partition", "{dir}/weights.json"], set()),
+            (["reduce-mumpsp", "{dir}/demo.json"], set()),
+            (["solve", "{dir}/demo.json", "--method", "bnb"], set()),
+        ],
+        ids=[
+            "count", "gen", "dot", "verify", "decide", "reduce-partition",
+            "reduce-mumpsp", "solve-bnb",
+        ],
+    )
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, loads):
+        (tmp_path / "demo.json").write_text('{"machines": 2, "jobs": [1, 1, 3]}')
+        (tmp_path / "cert.json").write_text('{"assignment": [1, 1, 2], "makespan": 3}')
+        (tmp_path / "weights.json").write_text('{"weights": [1, 1, 2]}')
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        out = fresh(RUN_AND_LIST, *argv, flags=("-S",))
+        loaded = set(out.splitlines()[-1].split())
+        assert "makespan.cli" in loaded
+        assert loaded & LAZY_STDLIB == loads
