@@ -21,12 +21,15 @@ import sys
 _EXPORTS = {
     "model": (
         "BudgetExceeded",
+        "Certificate",
         "DomainError",
         "Instance",
         "InvalidInstance",
         "InvalidMachineIndex",
         "InvalidSchedule",
         "LengthMismatch",
+        "MumpspInstance",
+        "PartitionInstance",
         "Schedule",
         "SchedulingError",
         "is_essential",
@@ -38,9 +41,7 @@ _EXPORTS = {
         "theoretical_opt",
     ),
     "reductions": (
-        "MumpspInstance",
         "OrderedSchedule",
-        "PartitionInstance",
         "decide_partition",
         "mpsp_to_mumpsp",
         "mumpsp_flatten",
@@ -77,7 +78,6 @@ _EXPORTS = {
         "REJECT_ABOVE_THRESHOLD",
         "REJECT_INVALID_SCHEDULE",
         "REJECT_WRONG_MAKESPAN",
-        "Certificate",
         "Verdict",
         "decide",
         "prove",

@@ -9,25 +9,27 @@ every parse failure names the offending field:
     multi-user   {"machines": int, "users": [[int, ...], ...]}   (written only)
 
 Files check JSON shape and the digit rule; builders check every value.
-`Certificate` validates nothing, so its fields are checked here.
-
-Only `model` is imported up front: `parse_partition` imports `reductions`
-and `parse_certificate` imports `verifier` when first called, so a command
-that reads only instance files loads neither.  Their classes appear in
-annotations only as quoted names.  Files are read through `open` and
-`json.load`, which import nothing more.
+`Certificate` validates nothing, so its fields are checked here.  Every
+record these files hold is defined in `model`, the one module of the
+package imported here.  Files are read through `open` and `json.load`,
+which import nothing more.
 """
 
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-from .model import Instance, InvalidInstance, SchedulingError, _power_exceeds, make_instance
-
-if TYPE_CHECKING:
-    from .reductions import MumpspInstance, PartitionInstance
-    from .verifier import Certificate
+from .model import (
+    Certificate,
+    Instance,
+    InvalidInstance,
+    MumpspInstance,
+    PartitionInstance,
+    SchedulingError,
+    _power_exceeds,
+    make_instance,
+)
 
 
 class FileFormatError(SchedulingError):
@@ -106,17 +108,13 @@ def parse_instance(data: Any) -> Instance:
     return instance
 
 
-def parse_partition(data: Any) -> "PartitionInstance":
-    from .reductions import PartitionInstance
-
+def parse_partition(data: Any) -> PartitionInstance:
     partition = _parse("partition", data, {"weights": _list}, PartitionInstance)
     _check_printable(partition.total_weight, "weights: total")
     return partition
 
 
-def parse_certificate(data: Any) -> "Certificate":
-    from .verifier import Certificate
-
+def parse_certificate(data: Any) -> Certificate:
     return _parse(
         "certificate",
         data,
@@ -148,11 +146,11 @@ def load_instance(path: str | os.PathLike) -> Instance:
     return parse_instance(load_json(path))
 
 
-def load_partition(path: str | os.PathLike) -> "PartitionInstance":
+def load_partition(path: str | os.PathLike) -> PartitionInstance:
     return parse_partition(load_json(path))
 
 
-def load_certificate(path: str | os.PathLike) -> "Certificate":
+def load_certificate(path: str | os.PathLike) -> Certificate:
     return parse_certificate(load_json(path))
 
 
@@ -160,14 +158,14 @@ def instance_to_json(instance: Instance) -> dict:
     return {"machines": instance.machine_count, "jobs": list(instance.processing_times)}
 
 
-def mumpsp_to_json(instance: "MumpspInstance") -> dict:
+def mumpsp_to_json(instance: MumpspInstance) -> dict:
     return {
         "machines": instance.machine_count,
         "users": [list(jobs) for jobs in instance.user_job_lists],
     }
 
 
-def certificate_to_json(cert: "Certificate") -> dict:
+def certificate_to_json(cert: Certificate) -> dict:
     return {"assignment": list(cert.schedule), "makespan": cert.claimed_makespan}
 
 

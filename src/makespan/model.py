@@ -7,6 +7,10 @@ job, so disjointness and coverage of the induced per-machine job sets hold by
 construction.  All load arithmetic is exact integer arithmetic, which keeps
 every downstream equality check bit-exact.
 
+Every record a file holds lives here: the instance, the partition instance,
+the multi-user instance and the certificate.  `reductions` and `verifier`
+import the last three, so those module paths and their pickles still work.
+
 Machine indices are 1-based everywhere in the public surface.
 """
 
@@ -187,6 +191,68 @@ class Instance(_Record):
     @property
     def total_work(self) -> int:
         return sum(self.processing_times)
+
+
+class PartitionInstance(_Record):
+    """A multiset of positive integer weights to split into two equal-sum
+    halves."""
+
+    __slots__ = __match_args__ = ("weights",)
+    weights: tuple[int, ...]
+
+    def __init__(self, weights: Iterable[int]) -> None:
+        weights = tuple(weights)
+        if not weights:
+            raise InvalidInstance("need at least one weight")
+        _positive_ints(weights, "weight {}")
+        _set_field(self, "weights", weights)
+
+    @property
+    def total_weight(self) -> int:
+        return sum(self.weights)
+
+
+class MumpspInstance(_Record):
+    """Multi-user instance: m machines plus one non-empty job list per user."""
+
+    __slots__ = __match_args__ = ("machine_count", "user_job_lists")
+    machine_count: int
+    user_job_lists: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self, machine_count: int, user_job_lists: Iterable[Iterable[int]]
+    ) -> None:
+        lists = tuple(tuple(jobs) for jobs in user_job_lists)
+        _int_at_least(machine_count, 2, "machine count")
+        if not lists:
+            raise InvalidInstance("need at least one user")
+        for r, jobs in enumerate(lists, 1):
+            if not jobs:
+                raise InvalidInstance(f"user {r} has no jobs")
+            _positive_ints(jobs, f"processing time {{}} of user {r}")
+        _set_field(self, "machine_count", machine_count)
+        _set_field(self, "user_job_lists", lists)
+
+    @property
+    def user_count(self) -> int:
+        return len(self.user_job_lists)
+
+    @property
+    def job_count(self) -> int:
+        return sum(len(jobs) for jobs in self.user_job_lists)
+
+
+class Certificate(_Record):
+    """A schedule plus the makespan claimed for it.  Nothing is validated at
+    construction; checking the claim is the verifier's job."""
+
+    __slots__ = __match_args__ = ("schedule", "claimed_makespan")
+    schedule: Schedule
+    claimed_makespan: int
+
+    def __init__(self, schedule: Schedule, claimed_makespan: int) -> None:
+        _set_field(self, "schedule", schedule)
+        _set_field(self, "claimed_makespan", claimed_makespan)
 
 
 def make_instance(machine_count: int, processing_times: Iterable[int]) -> Instance:

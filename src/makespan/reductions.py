@@ -1,4 +1,4 @@
-"""Problem reductions and the multi-user scheduling data model.
+"""Problem reductions and multi-user schedules, over records defined in `model`.
 
 Two transformations live here.  The first maps a partition instance (a
 multiset of positive weights) to a two-machine scheduling instance with the
@@ -22,15 +22,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .model import (
     BudgetExceeded,
     Instance,
-    InvalidInstance,
     InvalidMachineIndex,
     InvalidSchedule,
     LengthMismatch,
+    MumpspInstance,
+    PartitionInstance,
     _budget_text,
-    _int_at_least,
     _positive_ints,
-    _Record,
-    _set_field,
     make_instance,
 )
 from . import solver
@@ -43,55 +41,6 @@ DEFAULT_SUM_BUDGET = 1 << 24
 
 # Per-machine job sequences; each entry is a (user, index) pair, both 1-based.
 OrderedSchedule = tuple[tuple[tuple[int, int], ...], ...]
-
-
-class PartitionInstance(_Record):
-    """A multiset of positive integer weights to split into two equal-sum
-    halves."""
-
-    __slots__ = __match_args__ = ("weights",)
-    weights: tuple[int, ...]
-
-    def __init__(self, weights: Iterable[int]) -> None:
-        weights = tuple(weights)
-        if not weights:
-            raise InvalidInstance("need at least one weight")
-        _positive_ints(weights, "weight {}")
-        _set_field(self, "weights", weights)
-
-    @property
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
-
-class MumpspInstance(_Record):
-    """Multi-user instance: m machines plus one non-empty job list per user."""
-
-    __slots__ = __match_args__ = ("machine_count", "user_job_lists")
-    machine_count: int
-    user_job_lists: tuple[tuple[int, ...], ...]
-
-    def __init__(
-        self, machine_count: int, user_job_lists: Iterable[Iterable[int]]
-    ) -> None:
-        lists = tuple(tuple(jobs) for jobs in user_job_lists)
-        _int_at_least(machine_count, 2, "machine count")
-        if not lists:
-            raise InvalidInstance("need at least one user")
-        for r, jobs in enumerate(lists, 1):
-            if not jobs:
-                raise InvalidInstance(f"user {r} has no jobs")
-            _positive_ints(jobs, f"processing time {{}} of user {r}")
-        _set_field(self, "machine_count", machine_count)
-        _set_field(self, "user_job_lists", lists)
-
-    @property
-    def user_count(self) -> int:
-        return len(self.user_job_lists)
-
-    @property
-    def job_count(self) -> int:
-        return sum(len(jobs) for jobs in self.user_job_lists)
 
 
 def partition_to_2psp(pp: PartitionInstance) -> tuple[Instance, "Fraction"]:

@@ -22,6 +22,7 @@ value, and the two coincide exactly when m = 2.  Both are exposed on purpose.
 """
 
 import itertools
+import sys
 from math import comb
 from typing import Iterator, Sequence
 
@@ -184,7 +185,8 @@ def to_dot(
     labels show the job-to-machine action.  Raises DomainError unless
     max_level is a plain int in 0..n and node_cap a plain int >= 1.  Refuses
     with BudgetExceeded, before any work, when the widest rendered level
-    would exceed `node_cap` nodes.
+    would exceed `node_cap` nodes, and once the rendering, which nests one
+    call per level, goes deeper than the interpreter's recursion limit.
     """
     _int_at_least(max_level, 0, "max_level", DomainError)
     _int_at_least(node_cap, 1, "node cap", DomainError)
@@ -211,6 +213,12 @@ def to_dot(
                 lines.append(f'  "{nid}" -> "{_node_id(child)}" [label="{action}"];')
                 emit(child)
 
-    emit(root(instance))
+    try:
+        emit(root(instance))
+    except RecursionError:
+        raise BudgetExceeded(
+            f"the rendering nests one call per level, and {max_level} levels go deeper "
+            f"than the interpreter's recursion limit of {sys.getrecursionlimit()} allows"
+        ) from None
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,13 +1,13 @@
 """One-shot prover/verifier exchange for scheduling certificates.
 
-A certificate is a schedule plus the makespan its prover claims for it.  The
-verifier replays the certificate as a root-to-leaf walk of the assignment
-tree, carrying the load vector along the path, and accepts only when the walk
-is valid, the claimed makespan equals the leaf weight, and the claim is
-within the caller's threshold.  Verification costs O(n + m) time: one
-addition per job, then the m-entry load vector and its max.  That is within
-the O(n * m) bound that puts the problem in NP, and independent of the m^n
-solution space.
+A certificate (`model.Certificate`) is a schedule plus the makespan its
+prover claims for it.  The verifier replays the certificate as a
+root-to-leaf walk of the assignment tree, carrying the load vector along the
+path, and accepts only when the walk is valid, the claimed makespan equals
+the leaf weight, and the claim is within the caller's threshold.
+Verification costs O(n + m) time: one addition per job, then the m-entry
+load vector and its max.  That is within the O(n * m) bound that puts the
+problem in NP, and independent of the m^n solution space.
 
 Thresholds are integers (every achievable makespan is one); callers holding
 the fractional ideal bound should pass its ceiling.  ``decide`` answers the
@@ -17,10 +17,10 @@ the prover role by emitting the optimal certificate.
 
 from .model import (
     DEFAULT_LEAF_BUDGET,
+    Certificate,
     Instance,
     InvalidMachineIndex,
     LengthMismatch,
-    Schedule,
     _Record,
     _set_field,
     loads,
@@ -46,19 +46,6 @@ _DETAILS = {
     REJECT_WRONG_MAKESPAN: ("claimed", "actual"),
     REJECT_ABOVE_THRESHOLD: ("actual", "threshold"),
 }
-
-
-class Certificate(_Record):
-    """A schedule plus the makespan claimed for it.  Nothing is validated at
-    construction; checking the claim is the verifier's job."""
-
-    __slots__ = __match_args__ = ("schedule", "claimed_makespan")
-    schedule: Schedule
-    claimed_makespan: int
-
-    def __init__(self, schedule: Schedule, claimed_makespan: int) -> None:
-        _set_field(self, "schedule", schedule)
-        _set_field(self, "claimed_makespan", claimed_makespan)
 
 
 class Verdict(_Record):

@@ -412,6 +412,14 @@ class TestDot:
     def test_level_beyond_height(self, capsys, demo_file):
         assert run(capsys, "dot", demo_file, "--max-level", "4")[0] == 2
 
+    def test_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(dump_json({"machines": 2, "jobs": [1] * 1200}))
+        argv = ["dot", str(path), "--max-level", "1100", "--node-cap", str(2**1200)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err and "1100 levels go deeper" in err
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

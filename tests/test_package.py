@@ -3,6 +3,7 @@ each command load."""
 
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,8 +11,9 @@ import pytest
 
 import makespan
 
-# The public names, by defining module, as the package has always exported
-# them; __all__ lists them in sorted order.
+# The public names, by the module that has always exported them (model now
+# defines Certificate, PartitionInstance and MumpspInstance, and verifier and
+# reductions import them); __all__ lists them in sorted order.
 PUBLIC = {
     "model": [
         "BudgetExceeded", "DomainError", "Instance", "InvalidInstance",
@@ -86,6 +88,50 @@ class TestPublicSurface:
         assert fresh("import makespan; print(makespan.solver.__name__)") == "makespan.solver\n"
 
 
+class TestRecordsLiveInModel:
+    """Every record a file holds is defined once, in model; the modules that
+    used to define three of them still name the same classes."""
+
+    @pytest.mark.parametrize(
+        "name,module",
+        [
+            ("Certificate", "verifier"),
+            ("PartitionInstance", "reductions"),
+            ("MumpspInstance", "reductions"),
+        ],
+    )
+    def test_one_class_under_every_path(self, name, module):
+        old = importlib.import_module(f"makespan.{module}")
+        assert getattr(makespan, name) is getattr(old, name) is getattr(makespan.model, name)
+
+    # protocol 4 pickles written when the classes were defined in verifier
+    # and reductions: they name those module paths
+    @pytest.mark.parametrize(
+        "data,record",
+        [
+            (
+                b"\x80\x04\x953\x00\x00\x00\x00\x00\x00\x00\x8c\x11makespan.verifier\x94"
+                b"\x8c\x0bCertificate\x94\x93\x94K\x01K\x02K\x01\x87\x94K\x05\x86\x94R\x94.",
+                makespan.Certificate((1, 2, 1), 5),
+            ),
+            (
+                b"\x80\x04\x959\x00\x00\x00\x00\x00\x00\x00\x8c\x13makespan.reductions\x94"
+                b"\x8c\x11PartitionInstance\x94\x93\x94K\x03K\x01K\x02\x87\x94\x85\x94R\x94.",
+                makespan.PartitionInstance((3, 1, 2)),
+            ),
+            (
+                b"\x80\x04\x95<\x00\x00\x00\x00\x00\x00\x00\x8c\x13makespan.reductions\x94"
+                b"\x8c\x0eMumpspInstance\x94\x93\x94K\x02K\x04K\x01\x86\x94K\x02\x85\x94"
+                b"\x86\x94\x86\x94R\x94.",
+                makespan.MumpspInstance(2, ((4, 1), (2,))),
+            ),
+        ],
+        ids=["certificate", "partition", "multi-user"],
+    )
+    def test_old_pickles_load(self, data, record):
+        assert pickle.loads(data) == record
+
+
 # Runs one command through cli.main, then prints every module loaded.  The
 # interpreter's start-up may import stdlib modules itself (site does, through
 # the .pth files of some installs), so stdlib names are checked only in an
@@ -104,6 +150,27 @@ class TestModulesLoaded:
     def test_import_loads_no_module(self):
         code = "import sys, makespan; print([m for m in sys.modules if m.startswith('makespan.')])"
         assert fresh(code) == "[]\n"
+
+    def test_file_readers_load_only_model(self, tmp_path):
+        (tmp_path / "cert.json").write_text('{"assignment": [1, 1, 2], "makespan": 3}')
+        (tmp_path / "weights.json").write_text('{"weights": [1, 1, 2]}')
+        code = (
+            "import sys\n"
+            "from makespan import files\n"
+            "files.load_certificate(sys.argv[1])\n"
+            "files.load_partition(sys.argv[2])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('makespan')))\n"
+        )
+        out = fresh(code, str(tmp_path / "cert.json"), str(tmp_path / "weights.json"))
+        assert out == "['makespan', 'makespan.files', 'makespan.model']\n"
+
+    def test_records_load_only_model(self):
+        code = (
+            "import sys\n"
+            "from makespan import Certificate, MumpspInstance, PartitionInstance\n"
+            "print([m for m in sys.modules if m.startswith('makespan.')])\n"
+        )
+        assert fresh(code) == "['makespan.model']\n"
 
     @pytest.mark.parametrize(
         "argv,left_out",

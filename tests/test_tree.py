@@ -244,6 +244,13 @@ class TestToDot:
         with pytest.raises(DomainError, match=message):
             to_dot(make_instance(2, [1] * 6), 0, node_cap=node_cap)
 
+    def test_deeper_than_the_recursion_limit(self):
+        # the cap allows 2^1100 nodes, but the rendering nests one call per
+        # level: past the recursion limit it is over budget, not a crash
+        deep = make_instance(2, [1] * 1200)
+        with pytest.raises(BudgetExceeded, match=r"1100 levels go deeper .* recursion limit of \d+"):
+            to_dot(deep, 1100, node_cap=2**1200)
+
     def test_cap_of_one_renders_the_root(self):
         assert to_dot(make_instance(2, [5]), 0, node_cap=1).count("label=") == 1
 
