@@ -10,7 +10,7 @@ imported here, because `main` maps their exceptions to exit codes; each
 handler imports `tree`, `solver`, `verifier` or `reductions` itself, so
 `count`, `gen` and `dot` start without the solver, and `solve` imports it
 only once its instance file has loaded.  The standard library follows the
-same rule: only `gen` imports `random`.
+same rule: only `gen` imports `random`, and no module imports `typing`.
 """
 
 import argparse

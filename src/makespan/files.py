@@ -18,7 +18,7 @@ which import nothing more.
 import json
 import os
 import sys
-from typing import Any, Callable
+from collections.abc import Callable
 
 from .model import (
     Certificate,
@@ -36,19 +36,19 @@ class FileFormatError(SchedulingError):
     """A file or JSON object does not match its schema."""
 
 
-def _int(value: Any, where: str) -> int:
+def _int(value: object, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FileFormatError(f"{where}: expected an integer, got {value!r}")
     return value
 
 
-def _list(value: Any, where: str) -> list:
+def _list(value: object, where: str) -> list:
     if not isinstance(value, list):
         raise FileFormatError(f"{where}: expected a list of integers")
     return value
 
 
-def _int_list(value: Any, where: str) -> list[int]:
+def _int_list(value: object, where: str) -> list[int]:
     values = _list(value, where)
     for v in values:
         if type(v) is not int:
@@ -82,8 +82,8 @@ def _check_printable(
 
 
 def _parse(
-    kind: str, data: Any, fields: dict[str, Callable[[Any, str], Any]], build: Callable[..., Any]
-) -> Any:
+    kind: str, data: object, fields: dict[str, Callable[[object, str], object]], build: Callable
+):
     """The one check of a file's object: a JSON object with exactly `fields`,
     each read by its reader in order and passed to `build` in that order.
     The builder's InvalidInstance becomes a FileFormatError naming `kind`."""
@@ -102,19 +102,19 @@ def _parse(
         raise FileFormatError(f"{kind} file: {exc}") from exc
 
 
-def parse_instance(data: Any) -> Instance:
+def parse_instance(data: object) -> Instance:
     instance = _parse("instance", data, {"machines": _int, "jobs": _list}, make_instance)
     _check_printable(instance.total_work, "jobs: total")
     return instance
 
 
-def parse_partition(data: Any) -> PartitionInstance:
+def parse_partition(data: object) -> PartitionInstance:
     partition = _parse("partition", data, {"weights": _list}, PartitionInstance)
     _check_printable(partition.total_weight, "weights: total")
     return partition
 
 
-def parse_certificate(data: Any) -> Certificate:
+def parse_certificate(data: object) -> Certificate:
     return _parse(
         "certificate",
         data,
@@ -123,7 +123,7 @@ def parse_certificate(data: Any) -> Certificate:
     )
 
 
-def load_json(path: str | os.PathLike) -> Any:
+def load_json(path: str | os.PathLike):
     """The parsed JSON value in `path`; every way reading or parsing it can
     fail is a FileFormatError.  An int is refused with TypeError, never read
     as a file descriptor."""

@@ -14,8 +14,10 @@ import the last three, so those module paths and their pickles still work.
 Machine indices are 1-based everywhere in the public surface.
 """
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
+# false at run time and true to type checkers, which alone import Fraction
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -97,7 +99,7 @@ def _positive_ints(values: Sequence[object], what: str) -> None:
 
 def _power_exceeds(base: int, exponent: int, bound: int) -> bool:
     """base**exponent > bound, for ints all >= 0, without building a power
-    much longer than the bound: the one rule for refusing m^k up front.
+    much longer than the bound: the test behind every up-front m^k refusal.
 
     base**exponent is at least 2**(exponent * (bits - 1)) for a base of
     `bits` bits, so once that exponent reaches the bound's bit length the
@@ -116,6 +118,21 @@ def _budget_text(budget: int) -> str:
         return str(budget)
     except ValueError:
         return f"a {budget.bit_length()}-bit number"
+
+
+def _refuse_leaves_past(m: int, k: int, bound: int, bound_name: str) -> None:
+    """The one m^k refusal: BudgetExceeded when m^k > bound, decided and worded
+    without building or printing m^k, naming the bound ("budget" or "node cap")."""
+    if _power_exceeds(m, k, bound):
+        raise BudgetExceeded(f"{m}^{k} leaves exceed the {bound_name} of {_budget_text(bound)}")
+
+
+def _machine_count(value: object) -> int:
+    """The one machine-count rule: a plain int in 2..MAX_MACHINES."""
+    m = _int_at_least(value, 2, "machine count")
+    if m > MAX_MACHINES:
+        raise InvalidInstance(f"machine count must be <= {MAX_MACHINES}, got {m}")
+    return m
 
 
 # Stores a record's field past _Record.__setattr__; bound once, so that a
@@ -175,9 +192,7 @@ class Instance(_Record):
 
     def __init__(self, machine_count: int, processing_times: Iterable[int]) -> None:
         times = tuple(processing_times)
-        m = _int_at_least(machine_count, 2, "machine count")
-        if m > MAX_MACHINES:
-            raise InvalidInstance(f"machine count must be <= {MAX_MACHINES}, got {m}")
+        m = _machine_count(machine_count)
         if not times:
             raise InvalidInstance("need at least one job")
         _positive_ints(times, "processing time of job {}")
@@ -219,11 +234,9 @@ class MumpspInstance(_Record):
     machine_count: int
     user_job_lists: tuple[tuple[int, ...], ...]
 
-    def __init__(
-        self, machine_count: int, user_job_lists: Iterable[Iterable[int]]
-    ) -> None:
+    def __init__(self, machine_count: int, user_job_lists: Iterable[Iterable[int]]) -> None:
         lists = tuple(tuple(jobs) for jobs in user_job_lists)
-        _int_at_least(machine_count, 2, "machine count")
+        _machine_count(machine_count)
         if not lists:
             raise InvalidInstance("need at least one user")
         for r, jobs in enumerate(lists, 1):

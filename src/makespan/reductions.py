@@ -17,7 +17,7 @@ completion times depend on it (the overall makespan does not).  Machines run
 their sequences back to back from time 0 with no inserted idleness.
 """
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .model import (
     BudgetExceeded,
@@ -34,6 +34,8 @@ from .model import (
 from . import solver
 from .verifier import decide  # noqa: F401  bench/spans.py wraps reductions.decide
 
+# false at run time and true to type checkers, which alone import Fraction
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 

@@ -23,7 +23,7 @@ random sampling).
 import heapq
 import itertools
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .model import (
     DEFAULT_LEAF_BUDGET,
@@ -31,9 +31,9 @@ from .model import (
     Instance,
     InvalidInstance,
     Schedule,
-    _budget_text,
     _power_exceeds,
     _Record,
+    _refuse_leaves_past,
     _set_field,
     loads,
 )
@@ -72,15 +72,6 @@ class SolveResult(_Record):
         _set_field(self, "nodes_pruned", nodes_pruned)
 
 
-def _refuse_past_leaf_budget(m: int, n: int, leaf_budget: int) -> None:
-    """The full scan's refusal rule: BudgetExceeded when m^n > leaf_budget,
-    decided and worded without building or printing m^n."""
-    if _power_exceeds(m, n, leaf_budget):
-        raise BudgetExceeded(
-            f"{m}^{n} leaves exceed the budget of {_budget_text(leaf_budget)}"
-        )
-
-
 def brute_force_opt(
     instance: Instance,
     leaf_budget: int = DEFAULT_LEAF_BUDGET,
@@ -114,7 +105,7 @@ def brute_force_opt(
     m = instance.machine_count
     times = instance.processing_times
     n = len(times)
-    _refuse_past_leaf_budget(m, n, leaf_budget)
+    _refuse_leaves_past(m, n, leaf_budget, "budget")
     last = n - 1
     q = times[last]
     k = 0
@@ -419,7 +410,7 @@ def _splits_evenly(weights: Sequence[int]) -> bool:
     half, odd = divmod(sum(weights), 2)
     if odd:
         return False
-    _refuse_past_leaf_budget(2, len(weights), DEFAULT_LEAF_BUDGET)
+    _refuse_leaves_past(2, len(weights), DEFAULT_LEAF_BUDGET, "budget")
     mid = len(weights) // 2
     halves = []
     for part in (weights[:mid], weights[mid:]):

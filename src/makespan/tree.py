@@ -24,7 +24,7 @@ value, and the two coincide exactly when m = 2.  Both are exposed on purpose.
 import itertools
 import sys
 from math import comb
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .model import (
     DEFAULT_NODE_CAP,
@@ -32,10 +32,9 @@ from .model import (
     DomainError,
     Instance,
     Schedule,
-    _budget_text,
     _int_at_least,
-    _power_exceeds,
     _Record,
+    _refuse_leaves_past,
     _set_field,
     loads,
 )
@@ -176,9 +175,7 @@ def _node_label(instance: Instance, node: TreeNode) -> str:
     return f"{config}\\n{load}"
 
 
-def to_dot(
-    instance: Instance, max_level: int, node_cap: int = DEFAULT_NODE_CAP
-) -> str:
+def to_dot(instance: Instance, max_level: int, node_cap: int = DEFAULT_NODE_CAP) -> str:
     """Graphviz DOT rendering of the tree down to `max_level`.
 
     Node labels show the assignment configuration and the load vector; edge
@@ -193,11 +190,7 @@ def to_dot(
     n = instance.job_count
     if max_level > n:
         raise DomainError(f"max_level must be in 0..{n}, got {max_level}")
-    if _power_exceeds(instance.machine_count, max_level, node_cap):
-        raise BudgetExceeded(
-            f"{instance.machine_count}^{max_level} leaves exceed the node cap "
-            f"of {_budget_text(node_cap)}"
-        )
+    _refuse_leaves_past(instance.machine_count, max_level, node_cap, "node cap")
     lines = [
         "digraph schedule_tree {",
         "  rankdir=TB;",

@@ -192,9 +192,10 @@ class TestModulesLoaded:
 
 
 # The stdlib modules a command may load only when it runs them: annotations
-# are evaluated without __future__, files are read without pathlib, and only
-# gen draws from random.
-LAZY_STDLIB = {"__future__", "pathlib", "random"}
+# are evaluated without __future__ and need no typing, files are read without
+# pathlib, only gen draws from random, and only reduce-partition returns a
+# Fraction.
+LAZY_STDLIB = {"__future__", "fractions", "pathlib", "random", "typing"}
 
 
 class TestStdlibLoaded:
@@ -206,7 +207,7 @@ class TestStdlibLoaded:
             (["dot", "{dir}/demo.json", "--max-level", "1"], set()),
             (["verify", "{dir}/demo.json", "{dir}/cert.json", "--threshold", "3"], set()),
             (["decide", "{dir}/demo.json", "--threshold", "3"], set()),
-            (["reduce-partition", "{dir}/weights.json"], set()),
+            (["reduce-partition", "{dir}/weights.json"], {"fractions"}),
             (["reduce-mumpsp", "{dir}/demo.json"], set()),
             (["solve", "{dir}/demo.json", "--method", "bnb"], set()),
         ],

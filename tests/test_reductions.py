@@ -29,6 +29,7 @@ from makespan import (
     subset_sum_oracle,
 )
 from makespan import reductions, solver
+from makespan.model import MAX_MACHINES
 
 
 def subset_enumeration_oracle(weights, target):
@@ -288,6 +289,14 @@ class TestMumpspModel:
             MumpspInstance(2, ((1, 0),))
         with pytest.raises(InvalidInstance):
             MumpspInstance("3", ((1,),))
+
+    def test_machine_ceiling(self):
+        # Instance's ceiling and message, so mumpsp_flatten refuses no built record
+        message = rf"^machine count must be <= {MAX_MACHINES}, got {MAX_MACHINES + 1}$"
+        with pytest.raises(InvalidInstance, match=message):
+            MumpspInstance(MAX_MACHINES + 1, ((1,),))
+        widest = MumpspInstance(MAX_MACHINES, ((1,),))
+        assert mumpsp_flatten(widest) == make_instance(MAX_MACHINES, [1])
 
 
 class TestUserMakespans:

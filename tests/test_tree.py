@@ -204,6 +204,11 @@ class TestToDot:
         with pytest.raises(BudgetExceeded):
             to_dot(big, 20)
 
+    def test_refusal_names_the_default_cap(self):
+        with pytest.raises(BudgetExceeded) as info:
+            to_dot(make_instance(3, [1] * 9), 9)
+        assert str(info.value) == "3^9 leaves exceed the node cap of 4096"
+
     def test_cap_longer_than_the_digit_limit(self):
         # a cap of 5001 digits is named by its bit length, not printed
         with pytest.raises(BudgetExceeded, match=r"node cap of a 16610-bit number$"):
