@@ -11,6 +11,13 @@ handler imports `tree`, `solver`, `verifier` or `reductions` itself, so
 `count`, `gen` and `dot` start without the solver, and `solve` imports it
 only once its instance file has loaded.  The standard library follows the
 same rule: only `gen` imports `random`, and no module imports `typing`.
+
+Each command parses only its own arguments.  One table declares every
+command's help, arguments and handler.  When argv names a command, `main`
+parses the rest with a parser built for that command alone; the full
+parser, built from the same table, serves help, a missing or unknown
+command, and arguments the command's parser leaves unrecognized, so every
+message reads as the full parser words it.
 """
 
 import argparse
@@ -47,86 +54,11 @@ def _at_least(low: int):
     return integer
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every later
-    call in the process.
-
-    Sharing is safe because parsing leaves the parser as it found it: every
-    default is immutable, the `_at_least` type closures are pure, and each
-    subcommand dispatches through `set_defaults(func=...)`, which nothing
-    patches.  Each parse_args call fills a fresh Namespace, so no value
-    carries over from one call to the next.  Every caller gets the same
-    object, so none may add to it.
-    """
-    parser = argparse.ArgumentParser(
-        prog="makespan",
-        description="Exact workbench for makespan scheduling on identical parallel machines.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a random instance file on stdout")
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--m", type=_at_least(2), required=True, help="machine count (>= 2)")
     p.add_argument("--n", type=_at_least(1), required=True, help="job count (>= 1)")
     p.add_argument("--pmax", type=_at_least(1), required=True, help="largest processing time")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("count", help="closed-form tree and schedule counts")
-    p.add_argument("--m", type=_at_least(2), required=True)
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("solve", help="exact optimum of an instance file")
-    p.add_argument("instance_file")
-    p.add_argument("--method", choices=("brute", "bnb"), default="brute")
-    p.add_argument(
-        "--threads",
-        type=_at_least(1),
-        default=None,
-        help="accepted and ignored: the brute-force scan runs in this process "
-        "(the flag goes once the benchmark stops passing it)",
-    )
-    p.add_argument(
-        "--leaf-budget", type=_at_least(1), default=DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
-    )
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("verify", help="check a certificate against a threshold")
-    p.add_argument("instance_file")
-    p.add_argument("certificate_file")
-    p.add_argument("--threshold", type=_at_least(1), required=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("decide", help="is there a schedule within the threshold?")
-    p.add_argument("instance_file")
-    p.add_argument("--threshold", type=_at_least(1), required=True)
-    p.add_argument("--witness-out", help="also write the witness certificate here")
-    p.add_argument(
-        "--leaf-budget", type=_at_least(1), default=DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
-    )
-    p.set_defaults(func=_cmd_decide)
-
-    p = sub.add_parser(
-        "reduce-partition",
-        help="map a partition file to a 2-machine instance (stdout) and threshold (stderr)",
-    )
-    p.add_argument("partition_file")
-    p.set_defaults(func=_cmd_reduce_partition)
-
-    p = sub.add_parser(
-        "reduce-mumpsp", help="wrap an instance as its single-user multi-user form"
-    )
-    p.add_argument("instance_file")
-    p.set_defaults(func=_cmd_reduce_mumpsp)
-
-    p = sub.add_parser("dot", help="Graphviz rendering of the assignment tree")
-    p.add_argument("instance_file")
-    p.add_argument("--max-level", type=_at_least(0), required=True)
-    p.add_argument("--node-cap", type=_at_least(1), default=DEFAULT_NODE_CAP)
-    p.set_defaults(func=_cmd_dot)
-
-    return parser
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -144,6 +76,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     instance = files.parse_instance({"machines": args.m, "jobs": jobs})
     print(files.dump_json(files.instance_to_json(instance)))
     return EXIT_OK
+
+
+def _count_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m", type=_at_least(2), required=True)
+    p.add_argument("--n", type=_at_least(1), required=True)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -170,6 +107,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _solve_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("instance_file")
+    p.add_argument("--method", choices=("brute", "bnb"), default="brute")
+    p.add_argument(
+        "--threads",
+        type=_at_least(1),
+        default=None,
+        help="accepted and ignored: the brute-force scan runs in this process "
+        "(the flag goes once the benchmark stops passing it)",
+    )
+    p.add_argument(
+        "--leaf-budget", type=_at_least(1), default=DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
+    )
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = files.load_instance(args.instance_file)
     from . import solver
@@ -194,6 +146,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("instance_file")
+    p.add_argument("certificate_file")
+    p.add_argument("--threshold", type=_at_least(1), required=True)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verifier
 
@@ -202,6 +160,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     verdict = verifier.verify_certificate(instance, cert, args.threshold)
     print(verdict.describe())
     return EXIT_OK if verdict.accepted else EXIT_NO
+
+
+def _decide_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("instance_file")
+    p.add_argument("--threshold", type=_at_least(1), required=True)
+    p.add_argument("--witness-out", help="also write the witness certificate here")
+    p.add_argument(
+        "--leaf-budget", type=_at_least(1), default=DEFAULT_LEAF_BUDGET, help=BUDGET_HELP
+    )
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
@@ -225,6 +192,10 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reduce_partition_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("partition_file")
+
+
 def _cmd_reduce_partition(args: argparse.Namespace) -> int:
     from . import reductions
 
@@ -236,6 +207,10 @@ def _cmd_reduce_partition(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reduce_mumpsp_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("instance_file")
+
+
 def _cmd_reduce_mumpsp(args: argparse.Namespace) -> int:
     from . import reductions
 
@@ -243,6 +218,12 @@ def _cmd_reduce_mumpsp(args: argparse.Namespace) -> int:
     mapped = reductions.mpsp_to_mumpsp(instance)
     print(files.dump_json(files.mumpsp_to_json(mapped)))
     return EXIT_OK
+
+
+def _dot_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("instance_file")
+    p.add_argument("--max-level", type=_at_least(0), required=True)
+    p.add_argument("--node-cap", type=_at_least(1), default=DEFAULT_NODE_CAP)
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
@@ -253,10 +234,84 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each command once: name -> (help, argument adder, handler).  Both the
+# full parser and each command's own parser are built from this table.
+_COMMANDS = {
+    "gen": ("generate a random instance file on stdout", _gen_arguments, _cmd_gen),
+    "count": ("closed-form tree and schedule counts", _count_arguments, _cmd_count),
+    "solve": ("exact optimum of an instance file", _solve_arguments, _cmd_solve),
+    "verify": ("check a certificate against a threshold", _verify_arguments, _cmd_verify),
+    "decide": ("is there a schedule within the threshold?", _decide_arguments, _cmd_decide),
+    "reduce-partition": (
+        "map a partition file to a 2-machine instance (stdout) and threshold (stderr)",
+        _reduce_partition_arguments,
+        _cmd_reduce_partition,
+    ),
+    "reduce-mumpsp": (
+        "wrap an instance as its single-user multi-user form",
+        _reduce_mumpsp_arguments,
+        _cmd_reduce_mumpsp,
+    ),
+    "dot": ("Graphviz rendering of the assignment tree", _dot_arguments, _cmd_dot),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser, with every command as a subparser,
+    built on first use and shared by every later call in the process.
+
+    It serves help, a missing or unknown command, and arguments a command's
+    own parser leaves unrecognized (see command_parser).  Sharing is safe
+    because parsing leaves the parser as it found it: every default is
+    immutable, the `_at_least` type closures are pure, and each subcommand
+    dispatches through `set_defaults(func=...)`, which nothing patches.
+    Each parse_args call fills a fresh Namespace, so no value carries over
+    from one call to the next.  Every caller gets the same object, so none
+    may add to it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="makespan",
+        description="Exact workbench for makespan scheduling on identical parallel machines.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
+    return parser
+
+
+@functools.cache
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command `name` alone, as `makespan <name>`, built on
+    first use and shared like build_parser's.
+
+    It is the full parser's subparser for `name`, built from the same table
+    under the same prog, so it prints the same help and the same errors.
+    """
+    _, add_arguments, handler = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"makespan {name}")
+    add_arguments(parser)
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with the named command's own parser, or with the full
+    parser when argv names no command or the command's parser leaves
+    arguments over, which the full parser reports as unrecognized."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse(sys.argv[1:] if argv is None else argv)
         except SystemExit as exc:  # argparse already printed the usage message
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         else:

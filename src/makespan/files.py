@@ -169,6 +169,10 @@ def certificate_to_json(cert: Certificate) -> dict:
     return {"assignment": list(cert.schedule), "makespan": cert.claimed_makespan}
 
 
+# json.dumps builds a new encoder on every call that passes it options
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dump_json(data: dict) -> str:
     """Canonical one-line rendering used for all machine-readable output."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return _encode(data)

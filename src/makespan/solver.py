@@ -233,11 +233,12 @@ def _search(
     reach: list[list[int] | None] = [None] * n + [[0]]
     gap = [0] * n
     for k in range(max(window_from, 0), n):
-        shorter = 0
+        shorter = widest = 0
         for q in sorted(times[k:]):
-            if q - shorter > gap[k]:
-                gap[k] = q - shorter
+            if q - shorter > widest:
+                widest = q - shorter
             shorter += q
+        gap[k] = widest
 
     def subset_sums(k: int) -> list[int]:
         below = reach[k + 1] or subset_sums(k + 1)
@@ -369,11 +370,12 @@ def branch_and_bound(
     if not lpt_order:
         return _search(m, times, total, node_budget)
     n = len(times)
-    order = sorted(range(n), key=lambda i: (-times[i], i))
+    # a stable sort keeps equal jobs in file order, reverse=True included
+    order = sorted(range(n), key=times.__getitem__, reverse=True)
     result = _search(m, tuple(times[i] for i in order), total, node_budget)
     schedule = [0] * n
-    for pos, job in enumerate(order):
-        schedule[job] = result.best_schedule[pos]
+    for job, machine in zip(order, result.best_schedule):
+        schedule[job] = machine
     return SolveResult(
         tuple(schedule), result.optimum, result.leaves_explored, result.nodes_pruned
     )

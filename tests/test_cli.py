@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -450,17 +451,43 @@ class TestEntryPoint:
 
 
 class TestParserReuse:
-    """main builds its parser once per process; no call leaves state behind."""
+    """main builds each parser once per process; no call leaves state behind."""
 
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+        assert cli.command_parser("solve") is cli.command_parser("solve")
 
     def test_import_builds_nothing(self):
-        code = "import makespan.cli as c; print(c.build_parser.cache_info().currsize)"
+        code = (
+            "import makespan.cli as c; "
+            "print(c.build_parser.cache_info().currsize, c.command_parser.cache_info().currsize)"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert result.stdout == "0\n"
+        assert result.stdout == "0 0\n"
+
+    def test_command_builds_only_its_parser(self):
+        code = (
+            "import makespan.cli as c; code = c.main(['count', '--m', '2', '--n', '3']); "
+            "print(code, c.build_parser.cache_info().currsize, "
+            "c.command_parser.cache_info().currsize, c.command_parser.cache_info().misses)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines()[-1] == "0 0 1 1"
+
+    @pytest.mark.parametrize("argv", [[], ["nosuch"], ["--help"], ["count", "--m", "2", "--n", "3", "x"]])
+    def test_full_parser_words_the_rest(self, argv):
+        code = (
+            "import sys, makespan.cli as c; code = c.main(sys.argv[1:]); "
+            "print(code, c.build_parser.cache_info().currsize)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines()[-1] == f"{0 if argv == ['--help'] else 2} 1"
 
     def test_calls_leak_nothing(self, capsys, demo_file, tmp_path):
         witness = tmp_path / "witness.json"
@@ -482,6 +509,71 @@ class TestParserReuse:
             [sys.executable, "-m", "makespan", *argv], capture_output=True, text=True
         )
         assert first == second == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+class TestParsePaths:
+    """A command parses with its own parser, yet prints and exits exactly as
+    the full parser makes it: each argv gives the same exit code, stdout and
+    stderr as the same argv forced through the full parser."""
+
+    FLAGS = (
+        "--seed", "--m", "--n", "--pmax", "--method", "--threads", "--leaf-budget",
+        "--threshold", "--witness-out", "--max-level", "--node-cap", "-h", "--help", "--h",
+        "--meth", "--le", "--th", "--bogus", "--", "-x", "--m=3", "--method=bnb", "--help=x",
+    )
+
+    @pytest.fixture
+    def paths(self, demo_file, cert_file, tmp_path):
+        partition = tmp_path / "weights.json"
+        partition.write_text('{"weights": [1, 1, 2]}')
+        witness = str(tmp_path / "witness.json")
+        return demo_file, cert_file, str(partition), witness
+
+    def corpus(self, paths):
+        instance, cert, partition, witness = paths
+        commands = list(cli._COMMANDS)
+        argvs = [[], ["nosuch"], ["-h"], ["--help"], ["--"], ["--", "count"]]
+        for command in commands:
+            for tail in (
+                ["-h"], ["--h"], [], ["--threshold", "x"], ["--m", "x"], ["--bogus"],
+                [instance, "extra"], ["--"], ["--", instance], [instance, "--meth", "bnb"],
+            ):
+                argvs.append([command, *tail])
+        argvs += [
+            ["gen", "--seed", "1", "--m", "2", "--n", "3", "--pmax", "9"],
+            ["count", "--m", "2", "--n", "3"],
+            ["solve", instance, "--method", "bnb"],
+            ["verify", instance, cert, "--threshold", "3"],
+            ["verify", instance, cert, "--threshold", "2"],
+            ["decide", instance, "--threshold", "3", "--witness-out", witness],
+            ["reduce-partition", partition],
+            ["reduce-mumpsp", instance],
+            ["dot", instance, "--max-level", "2"],
+        ]
+        values = ["0", "1", "2", "3", "-1", "x", "bnb", "brute", "1e3", "", "nosuch.json", *paths]
+        rng = random.Random(2024)
+        for _ in range(2000):
+            argv = [rng.choice([*commands, "nosuch", "-h", "--"])]
+            for _ in range(rng.randint(0, 7)):
+                argv.append(rng.choice(self.FLAGS if rng.random() < 0.45 else values))
+            argvs.append(argv)
+        return argvs
+
+    def test_same_output_on_both_paths(self, capsys, monkeypatch, paths):
+        argvs = self.corpus(paths)
+        own = [run(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        full = [run(capsys, *argv) for argv in argvs]
+        differ = [(argv, a, b) for argv, a, b in zip(argvs, own, full) if a != b]
+        assert not differ, differ[:3]
+        # the corpus reaches the handlers, not only the parsers' errors
+        assert {code for code, _, _ in own} == {0, 1, 2}
+
+    def test_unrecognized_words_as_top_level(self, capsys, demo_file):
+        code, out, err = run(capsys, "solve", demo_file, "--method", "bnb", "extra")
+        assert (code, out) == (2, "")
+        assert err.endswith("makespan: error: unrecognized arguments: extra\n")
+        assert err.startswith("usage: makespan [-h]")
 
 
 class TestDeepSearch:
