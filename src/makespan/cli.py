@@ -15,9 +15,9 @@ same rule: only `gen` imports `random`, and no module imports `typing`.
 Each command parses only its own arguments.  One table declares every
 command's help, arguments and handler.  When argv names a command, `main`
 parses the rest with a parser built for that command alone; the full
-parser, built from the same table, serves help, a missing or unknown
-command, and arguments the command's parser leaves unrecognized, so every
-message reads as the full parser words it.
+parser, whose subparsers reuse those command parsers, serves help, a
+missing or unknown command, and arguments the command's parser leaves
+unrecognized, so every message reads as the full parser words it.
 """
 
 import argparse
@@ -258,8 +258,9 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The full command-line parser, with every command as a subparser,
-    built on first use and shared by every later call in the process.
+    """The full command-line parser, built on first use and shared by every
+    later call in the process; each command's subparser reuses that
+    command's own parser, command_parser(name), as its parent.
 
     It serves help, a missing or unknown command, and arguments a command's
     own parser leaves unrecognized (see command_parser).  Sharing is safe
@@ -275,10 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for makespan scheduling on identical parallel machines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        p.set_defaults(func=handler)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text, parents=[command_parser(name)], add_help=False)
     return parser
 
 
@@ -287,8 +286,9 @@ def command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of command `name` alone, as `makespan <name>`, built on
     first use and shared like build_parser's.
 
-    It is the full parser's subparser for `name`, built from the same table
-    under the same prog, so it prints the same help and the same errors.
+    The full parser's subparser for `name` takes its arguments and handler
+    from this parser, under the same prog, so both print the same help and
+    the same errors.
     """
     _, add_arguments, handler = _COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"makespan {name}")

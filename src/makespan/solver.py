@@ -357,28 +357,25 @@ def branch_and_bound(
     no room below it, or, from m=3 on, where no subset of the last jobs
     brings some machine into its load window (see _search).  The optimum
     always equals brute_force_opt's; the schedule is the lexicographically
-    least optimal one in search order.  With lpt_order=True jobs are
-    considered longest-first, which usually finds good schedules much sooner;
-    the schedule is then least in that order.
+    least optimal one in search order.  The jobs are searched in file order,
+    or with lpt_order=True longest first, which usually finds good schedules
+    much sooner; either way the one search runs on the reordered times and
+    its schedule is mapped back to file order.
     Raises BudgetExceeded once the search generates more than `node_budget`
     nodes.
     """
-    m = instance.machine_count
     times = instance.processing_times
-    total = instance.total_work
-    # the total work bounds every makespan, so this threshold cuts nothing
-    if not lpt_order:
-        return _search(m, times, total, node_budget)
     n = len(times)
     # a stable sort keeps equal jobs in file order, reverse=True included
-    order = sorted(range(n), key=times.__getitem__, reverse=True)
-    result = _search(m, tuple(times[i] for i in order), total, node_budget)
+    order = sorted(range(n), key=times.__getitem__, reverse=True) if lpt_order else range(n)
+    # the total work bounds every makespan, so this threshold cuts nothing
+    result = _search(
+        instance.machine_count, tuple(times[i] for i in order), instance.total_work, node_budget
+    )
     schedule = [0] * n
     for job, machine in zip(order, result.best_schedule):
         schedule[job] = machine
-    return SolveResult(
-        tuple(schedule), result.optimum, result.leaves_explored, result.nodes_pruned
-    )
+    return SolveResult(tuple(schedule), result.optimum, result.leaves_explored, result.nodes_pruned)
 
 
 class MsOutcome(_Record):

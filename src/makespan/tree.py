@@ -129,9 +129,7 @@ def count_schedules(machine_count: int, job_count: int) -> int:
 def count_partial(machine_count: int, job_count: int) -> int:
     """Number of strict, non-empty prefix assignments (levels 1..n-1):
     (m^n - m) / (m - 1)."""
-    _int_at_least(machine_count, 2, "machine count", DomainError)
-    _int_at_least(job_count, 1, "job count", DomainError)
-    return (machine_count**job_count - machine_count) // (machine_count - 1)
+    return (count_schedules(machine_count, job_count) - machine_count) // (machine_count - 1)
 
 
 def count_essential_formula(machine_count: int, job_count: int) -> int:
@@ -141,9 +139,7 @@ def count_essential_formula(machine_count: int, job_count: int) -> int:
     this overcounts because schedules can leave a machine idle without being
     single-machine.  See count_essential_exact.
     """
-    _int_at_least(machine_count, 2, "machine count", DomainError)
-    _int_at_least(job_count, 1, "job count", DomainError)
-    return machine_count**job_count - machine_count
+    return count_schedules(machine_count, job_count) - machine_count
 
 
 def count_essential_exact(machine_count: int, job_count: int) -> int:

@@ -435,6 +435,19 @@ class TestEntryPoint:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["count", "--m", "2", "--n", "3"], 0), (["decide", "{demo}", "--threshold", "2"], 1)],
+    )
+    def test_cli_module_answers_as_the_package(self, demo_file, argv, code):
+        argv = [a.format(demo=demo_file) for a in argv]
+        package, module = (
+            subprocess.run([sys.executable, "-m", name, *argv], capture_output=True, text=True)
+            for name in ("makespan", "makespan.cli")
+        )
+        assert package.returncode == code and package.stdout
+        assert (module.returncode, module.stdout) == (package.returncode, package.stdout)
+
     # Start-up pays for every module the package imports: the brute-force
     # scan runs in this process, so nothing needs concurrent.futures; only
     # the exact thresholds need fractions, and the records are plain classes,
@@ -539,6 +552,8 @@ class TestParsePaths:
                 [instance, "extra"], ["--"], ["--", instance], [instance, "--meth", "bnb"],
             ):
                 argvs.append([command, *tail])
+            # both sides run the full parser here, so only its subparsers answer
+            argvs += [["-x", command], ["-x", command, "-h"]]
         argvs += [
             ["gen", "--seed", "1", "--m", "2", "--n", "3", "--pmax", "9"],
             ["count", "--m", "2", "--n", "3"],
@@ -568,6 +583,13 @@ class TestParsePaths:
         assert not differ, differ[:3]
         # the corpus reaches the handlers, not only the parsers' errors
         assert {code for code, _, _ in own} == {0, 1, 2}
+
+    def test_full_parser_keeps_command_arguments(self, capsys):
+        code, out, err = run(capsys, "-x", "solve")
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "makespan solve: error: the following arguments are required: instance_file\n"
+        )
 
     def test_unrecognized_words_as_top_level(self, capsys, demo_file):
         code, out, err = run(capsys, "solve", demo_file, "--method", "bnb", "extra")

@@ -143,6 +143,14 @@ class TestCounting:
                 fn(1, 3)
             with pytest.raises(DomainError):
                 fn(2, 0)
+        # the derived counts refuse exactly as count_schedules does
+        for args in ((1, 3), (2, 0), ("2", 3)):
+            with pytest.raises(DomainError) as expected:
+                count_schedules(*args)
+            for fn in (count_partial, count_essential_formula):
+                with pytest.raises(DomainError) as got:
+                    fn(*args)
+                assert str(got.value) == str(expected.value)
 
     def test_essential_exact(self):
         assert count_essential_exact(2, 3) == 6
