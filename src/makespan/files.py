@@ -37,7 +37,7 @@ class FileFormatError(SchedulingError):
 
 
 def _int(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise FileFormatError(f"{where}: expected an integer, got {value!r}")
     return value
 

@@ -4,9 +4,11 @@
 lexicographically least optimal schedule.  ``_search`` is the one pruned
 search: identical-machine symmetry breaking, an LPT incumbent, a cut at the
 incumbent, a wasted-space cut, a load-window cut over the subset sums of the
-last jobs (off at m=2; a bound on the gap between consecutive sums is worked
-out for each such level when the search starts, and the check is skipped
-while the slack is at least that bound) and a stop at the lower bound.
+last jobs (off at m=2; tables for at most n // 2 + 2 levels, capped at
+_WINDOW_LEVELS; a bound on the gap between consecutive sums is worked out for
+each such level when the search starts, and the check is skipped while the
+slack is at least that bound) and a stop at the lower bound.  It searches the
+times divided by their common factor.
 ``branch_and_bound``, ``exhaustive_strategy`` and the verifier's ``prove``
 and ``decide`` run it, and it returns the same optimum as the full scan.
 ``_splits_evenly`` decides from two lists of half sums whether weights split
@@ -22,6 +24,7 @@ random sampling).
 
 import heapq
 import itertools
+import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -42,8 +45,9 @@ from .model import (
 _TAIL_CELLS = 1 << 12
 
 # The pruned search's window cut keeps the subset sums of the jobs left for
-# this many levels: at most 2^8 sums a level.
-_WINDOW_JOBS = 8
+# at most this many levels, so for at most 2^16 sums a level and 2^17 in all:
+# with times below 2^30 a search's tracemalloc peak stays under 8 MiB.
+_WINDOW_LEVELS = 16
 
 
 class SolveResult(_Record):
@@ -182,11 +186,17 @@ def _search(
     branch_and_bound, exhaustive_strategy, prove and decide.
 
     Returns the lexicographically least schedule of least makespan at most
-    `threshold`, or best_schedule () when there is none.  The incumbent
-    starts at limit = min(LPT makespan, threshold) + 1: the +1 lets the
-    search still reach the least schedule when LPT is already optimal.
-    Machines are tried in index order, and of several machines with equal
-    current load only the first: relabelling the others gives a
+    `threshold`, or best_schedule () when there is none.  Every makespan is
+    a multiple of g, the common factor of the times, so the search runs on
+    times // g against threshold // g and scales its optimum back by g: the
+    same schedules pass, in the same order, so the witness is the same, and
+    a bound that no schedule meets only for want of the factor (an odd
+    ceil(total/m) over even times) is not left to be proved by exhausting
+    the tree.  A "no" returns the incumbent of the undivided times.  The
+    incumbent starts at limit = min(LPT makespan, threshold) + 1: the +1
+    lets the search still reach the least schedule when LPT is already
+    optimal.  Machines are tried in index order, and of several machines
+    with equal current load only the first: relabelling the others gives a
     lexicographically larger schedule of the same makespan.  A child is cut
     when its largest load reaches the incumbent; the other lower bounds,
     ceil(total/m) and the largest remaining job, never exceed `target`, so
@@ -197,18 +207,21 @@ def _search(
     fit under cap.  A child is last cut by its load window (Korf 2009;
     Schreiber, Korf & Moffitt 2018): below cap every final load lies in
     [total - (m-1)*cap, cap], so a machine of load x needs a subset of the
-    jobs left whose sum brings it there.  For the last _WINDOW_JOBS levels the
-    sorted subset sums of the jobs left are listed, each list on first use,
-    and bisected once per machine.  No two consecutive subset sums lie
-    further apart than gap, worked out for each of those levels when the
-    search starts, so while the slack is at least gap every window holds a
-    sum, and neither the check nor its list is made.  The window cut is off
-    at m=2, where window_from = n leaves gap 0 at every level: there it
-    would make the balanced-split search over ten times faster, but the
-    benchmark keeps every op's record, so the extra ops would overrun its
-    memory bound until those records take fixed memory.  All three cuts drop
-    only subtrees without a schedule below the incumbent, so the witness does
-    not depend on them.
+    jobs left whose sum brings it there.  For the last n // 2 + 2 levels,
+    at most _WINDOW_LEVELS, the sorted subset sums of the jobs left are
+    listed, each list on first use, and bisected once per machine.  Deeper
+    tables cut nearer the root, where a cut drops more, but a level k jobs
+    from the end lists 2^k sums: the rule keeps up to 13 jobs at 8 levels
+    or fewer, and reaches the cap, which bounds the tables' memory, at 28
+    jobs.  No two consecutive subset sums lie further apart than gap, worked
+    out for each of those levels when the search starts, so while the slack
+    is at least gap every window holds a sum, and neither the check nor its
+    list is made.  The window cut is off at m=2, where window_from = n
+    leaves gap 0 at every level: there it would make the balanced-split
+    search over ten times faster, but the benchmark keeps every op's record,
+    so the extra ops would overrun its memory bound until those records take
+    fixed memory.  All three cuts drop only subtrees without a schedule
+    below the incumbent, so the witness does not depend on them.
     The search stops as soon as the incumbent reaches `target`, which no
     schedule beats.
 
@@ -216,12 +229,20 @@ def _search(
     (all m children of each expanded node count), or when a path from the
     root is deeper than the interpreter's recursion limit allows.
     """
+    # a "no" returns the incumbent of the undivided times
+    lpt = _lpt_makespan(m, times)
+    refuted = min(lpt, threshold) + 1
+    g = math.gcd(*times)
+    if g > 1:
+        times = tuple(p // g for p in times)
+        threshold //= g
+        lpt //= g
     n = len(times)
     total = sum(times)
     target = max(-(-total // m), max(times))
-    limit = min(_lpt_makespan(m, times), threshold) + 1
+    limit = min(lpt, threshold) + 1
     if limit <= target:
-        return SolveResult((), limit, 0, 0)
+        return SolveResult((), refuted, 0, 0)
     # least[k] is the shortest of the jobs from level k on (0 past the end)
     least = list(itertools.accumulate(reversed(times), min))[::-1] + [0]
     # For the levels k from window_from on, reach[k] is the sorted list of
@@ -229,7 +250,7 @@ def _search(
     # ones are further apart than gap[k]: taking those jobs shortest first,
     # a job q puts no new sum more than q - (sum of the shorter ones) above
     # an old one.  gap is 0 on the other levels.
-    window_from = n - _WINDOW_JOBS if m > 2 else n
+    window_from = n - min(n // 2 + 2, _WINDOW_LEVELS) if m > 2 else n
     reach: list[list[int] | None] = [None] * n + [[0]]
     gap = [0] * n
     for k in range(max(window_from, 0), n):
@@ -342,7 +363,7 @@ def _search(
             f"the search nests one call per job, and {n} jobs go deeper "
             f"than the interpreter's recursion limit allows"
         ) from None
-    return SolveResult(best_a, best, leaves, pruned)
+    return SolveResult(best_a, best * g if best_a else refuted, leaves, pruned)
 
 
 def branch_and_bound(

@@ -1,3 +1,4 @@
+import enum
 import errno
 import io
 import json
@@ -125,6 +126,21 @@ class TestFiles:
         cert = parse_certificate({"assignment": [1, 2], "makespan": 4})
         assert cert.schedule == (1, 2)
         assert cert.claimed_makespan == 4
+
+    def test_certificate_refuses_int_subclasses(self):
+        # verify_certificate rejects a claim or an entry that is not a plain
+        # int, so the reader refuses one too, as it refuses a bool
+        class Machine(enum.IntEnum):
+            FIRST = 1
+
+        with pytest.raises(
+            FileFormatError, match=r"^makespan: expected an integer, got <Machine.FIRST: 1>$"
+        ):
+            parse_certificate({"assignment": [1, 2], "makespan": Machine.FIRST})
+        with pytest.raises(
+            FileFormatError, match=r"^assignment\[1\]: expected an integer, got <Machine.FIRST: 1>$"
+        ):
+            parse_certificate({"assignment": [1, Machine.FIRST], "makespan": 4})
 
     def test_load_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -607,8 +623,8 @@ class TestDeepSearch:
         "argv", [["decide", "--threshold", "10002"], ["solve", "--method", "bnb"]]
     )
     def test_exits_3_without_traceback(self, capsys, tmp_path, argv):
-        # every time is even, so LPT's 5002 is above the bound 5001, and no
-        # schedule meets it: the search has to prove 5002 at depth 5000
+        # the common factor 2 leaves times whose LPT makespan meets their
+        # bound 2501, but the least such schedule lies at depth 5000
         path = tmp_path / "deep.json"
         path.write_text(dump_json({"machines": 2, "jobs": [2] * 4999 + [4]}))
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])

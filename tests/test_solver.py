@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 import subprocess
 import sys
 from itertools import product
@@ -28,6 +29,7 @@ from makespan import (
     prove,
     random_strategy,
     subset_sum_oracle,
+    verify_certificate,
 )
 from makespan import solver as solver_module
 
@@ -257,16 +259,12 @@ class TestBranchAndBound:
         assert result.leaves_explored == 1
 
     def test_equal_loads_tried_once(self):
-        # the optimum 6 is above ceil(12/3), so the search runs to the end;
-        # of its 8 cuts, 4 skip a machine whose load equals an earlier
-        # machine's (2 at the root, 1 below [3, 0, 0], 1 below [6, 0, 0]),
-        # 3 are load bounds against the incumbent (1 below [6, 0, 0], 2
-        # below [6, 3, 0]), and 1 is for wasted space: once the leaf
-        # (1, 1, 2, 2) makes the incumbent 6, the child [3, 3, 0] leaves
-        # cap 5, where machines of load 3 cannot take another job of 3;
-        # they lose 2 + 2 = 4, more than the slack 3 * 5 - 12 = 3
+        # the common factor 3 leaves four jobs of 1, whose optimum 2 is
+        # ceil(4/3), so the search stops at its first leaf (1, 1, 2, 2); its
+        # 2 cuts skip the root's machines 2 and 3, whose load equals
+        # machine 1's, and the optimum scales back to 6
         result = branch_and_bound(make_instance(3, [3, 3, 3, 3]))
-        assert result == SolveResult((1, 1, 2, 2), 6, 1, 4 + 3 + 1)
+        assert result == SolveResult((1, 1, 2, 2), 6, 1, 2)
 
     @given(
         st.integers(2, 5),
@@ -283,14 +281,16 @@ class TestBranchAndBound:
         assert makespan(instance, result.best_schedule) == result.optimum
 
     def test_wasted_space_cut(self):
-        # 14 jobs of 3 on 3 machines: the optimum 15 is above ceil(42/3), so
+        # total 63 on 3 machines: the optimum 24 is above ceil(63/3), so
         # once the first leaf is found the search must show that nothing
-        # fits under cap 14.  The slack 3 * 14 - 42 is 0, so a machine that
-        # reaches 12 loses 2 units no job fills, and the wasted-space cut
-        # ends that subtree at once.  The search then generates 582 nodes;
-        # without the cut it generates 6132.
-        instance = make_instance(3, [3] * 14)
-        assert branch_and_bound(instance, node_budget=1000).optimum == 15
+        # fits under cap 23.  The slack 3 * 23 - 63 is 6, and below the first
+        # job the shortest job left is 6, so a machine above 17 loses the
+        # space between its load and cap, which no job fills; once the
+        # machines lose more than 6 between them, the wasted-space cut ends
+        # that subtree at once.  The search then generates 600 nodes; without
+        # the cut it generates 2085.
+        instance = make_instance(3, [7, 6, 6, 8, 6, 6, 6, 6, 6, 6])
+        assert branch_and_bound(instance, node_budget=1000).optimum == 24
 
     def test_node_budget(self):
         # reaching the first leaf alone generates 9 * 3 children
@@ -300,19 +300,27 @@ class TestBranchAndBound:
             branch_and_bound(instance, node_budget=20)
 
     def test_deeper_than_the_recursion_limit(self):
-        # every time is even, so no schedule reaches the bound 10002/2 = 5001
-        # and LPT's 5002 must be proved by a search 5000 levels deep; it nests
-        # one call per level and stops as over budget at the recursion limit
+        # every time is even, and the common factor 2 leaves 4999 jobs of 1
+        # and one of 2, whose LPT makespan meets the bound 2501; but the
+        # least such schedule lies at a leaf 5000 levels deep, and the search
+        # nests one call per level and stops as over budget at the recursion
+        # limit.  Ones split evenly, but only at such a leaf too.
         instance = make_instance(2, [2] * 4999 + [4])
-        for call in (branch_and_bound, prove, magic_schedule):
+        for call in (branch_and_bound, prove):
             with pytest.raises(BudgetExceeded, match="5000 jobs go deeper"):
                 call(instance)
+        with pytest.raises(BudgetExceeded, match="5000 jobs go deeper"):
+            magic_schedule(make_instance(2, [1] * 5000))
+        # a balanced split needs loads of 5001, which even times cannot
+        # make: the divided threshold is below the bound, so nothing is
+        # searched
+        assert magic_schedule(instance) == MsOutcome(False, None)
 
 
 @st.composite
 def window_cases(draw):
     """m 3-5 and narrow (1-6) or wide (10^5-10^6) times, up to 11 jobs at m=3
-    so that the first levels sit above the _WINDOW_JOBS levels that keep
+    so that the first levels sit above the last n // 2 + 2, which keep
     subset sums, and few enough at m=4-5 for the full scan."""
     m = draw(st.integers(3, 5))
     low, high = draw(st.sampled_from([(1, 6), (10**5, 10**6)]))
@@ -376,12 +384,12 @@ class TestWindowCut:
         [
             pytest.param(
                 3, 16, False, 2966740,
-                ((1, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 3, 3, 2, 2, 3), 8, 1409), 1063,
+                ((1, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 3, 3, 2, 2, 3), 8, 559), 129,
                 id="m3-n16-file",
             ),
             pytest.param(
                 3, 16, True, 2966740,
-                ((1, 2, 3, 2, 2, 1, 1, 3, 3, 3, 1, 3, 2, 2, 2, 1), 6, 867), 653,
+                ((1, 2, 3, 2, 2, 1, 1, 3, 3, 3, 1, 3, 2, 2, 2, 1), 6, 413), 121,
                 id="m3-n16-lpt",
             ),
             pytest.param(
@@ -422,8 +430,10 @@ class TestWindowCut:
             (), optimum, 0, pruned_below
         )
 
-    # With the cut on at m=2 these three searches would make 25, 33 and 60
-    # cuts; the pinned counts are the search without it.
+    # With the cut on at m=2 these three searches would make 15, 17 and 47
+    # cuts (25, 33 and 60 with 8 levels of tables); the pinned counts are
+    # the search without it.  The times share no common factor, so the
+    # search runs on them as they are.
     @pytest.mark.parametrize(
         "times, threshold, expected",
         [
@@ -435,7 +445,7 @@ class TestWindowCut:
                 id="even split",
             ),
             pytest.param(
-                [337718, 488404, 493602, 232466, 302496, 839054, 145904,
+                [337719, 488403, 493602, 232466, 302496, 839054, 145904,
                  189322, 243490, 359460, 950672, 630956, 319568, 520174],
                 3026643,
                 SolveResult((), 3026644, 0, 1471),
@@ -453,6 +463,158 @@ class TestWindowCut:
     def test_off_at_two_machines(self, times, threshold, expected):
         result = solver_module._search(2, tuple(times), threshold, 10**6)
         assert result == expected
+
+    def test_tables_stay_under_their_memory_bound(self):
+        # 40 jobs get the cap of 16 levels of tables, built within the first
+        # 10^4 nodes; the deepest lists 2^16 sums, whose pointers alone take
+        # 0.5 MiB, so a peak above that shows it was built.  The bound is
+        # the one stated next to _WINDOW_LEVELS.
+        rng = random.Random(0)
+        times = tuple(sorted((rng.randint(10**5, 10**6) for _ in range(40)), reverse=True))
+        assert solver_module._WINDOW_LEVELS == 16
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                solver_module._search(3, times, sum(times), 10**4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2**16 * 8 < peak < 8 * 2**20
+
+
+def planted_case(seed):
+    """m 3-5 machines and 20-60 jobs whose optimum is C, the lower bound:
+    m groups of parts, each group a random split of C, shuffled together.
+    C is 10^3 or 10^6."""
+    rng = random.Random(seed)
+    m = 3 + seed % 3
+    n = rng.randint(20, 60)
+    goal = rng.choice([10**3, 10**6])
+    times = []
+    for j in range(m):
+        cuts = sorted(rng.sample(range(1, goal), n // m + (j < n % m) - 1))
+        times += [b - a for a, b in zip([0, *cuts], [*cuts, goal])]
+    rng.shuffle(times)
+    return m, times, goal
+
+
+@st.composite
+def beyond_the_full_scan(draw):
+    """m 3-5 and 12-20 wide (10^5-10^6) times: past what the full scan or
+    the tests' product oracle can price, and deep enough for the window
+    cut's tables to reach above the middle."""
+    m = draw(st.integers(3, 5))
+    n = draw(st.integers(12, {3: 20, 4: 17, 5: 15}[m]))
+    return m, draw(st.lists(st.integers(10**5, 10**6), min_size=n, max_size=n))
+
+
+class TestPastTheFullScan:
+    """Checks of the search at sizes the full scan cannot reach, whose
+    answers come from how the instance was made or from a second search."""
+
+    # Planted instances past 10^5 nodes, as (seed, lpt_order).  These are
+    # the searches that do not find a perfect schedule in time: mostly
+    # C = 10^6, where perfect schedules are rare among the m^n.
+    OVER_BUDGET = {
+        (0, False), (0, True), (4, False), (4, True), (5, False), (5, True),
+        (8, False), (8, True), (9, False), (10, True), (11, False),
+        (11, True), (12, True), (13, False), (13, True), (14, False),
+    }
+
+    def test_planted_optimum(self):
+        over = set()
+        for seed in range(16):
+            m, times, goal = planted_case(seed)
+            instance = make_instance(m, times)
+            assert -(-instance.total_work // m) == goal
+            for lpt in (False, True):
+                try:
+                    result = branch_and_bound(instance, lpt_order=lpt, node_budget=10**5)
+                except BudgetExceeded:
+                    over.add((seed, lpt))
+                    continue
+                assert result.optimum == goal
+                assert makespan(instance, result.best_schedule) == goal
+        assert over == self.OVER_BUDGET
+
+    @given(beyond_the_full_scan(), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_permuting_the_jobs_keeps_the_optimum(self, case, rng):
+        m, times = case
+        shuffled = list(times)
+        rng.shuffle(shuffled)
+        optima = {
+            branch_and_bound(make_instance(m, order), lpt_order=lpt).optimum
+            for order in (times, shuffled)
+            for lpt in (False, True)
+        }
+        assert len(optima) == 1
+
+    @given(beyond_the_full_scan(), st.integers(-3, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_decide_is_monotone_in_the_threshold(self, case, step):
+        m, times = case
+        instance = make_instance(m, times)
+        optimum = branch_and_bound(instance, lpt_order=True).optimum
+        # the optimum +- 1 and a further step either side, in units of the
+        # shortest job
+        shortest = min(times)
+        for threshold in (optimum - 1, optimum, optimum + 1, optimum + step * shortest):
+            yes, witness = decide(instance, threshold)
+            assert yes == (threshold >= optimum)
+            if yes:
+                assert witness.claimed_makespan == optimum
+                assert verify_certificate(instance, witness, threshold).accepted
+
+
+# The low-precision file: 30 even times on 3 machines, whose bound
+# ceil(1316 / 3) = 439 is odd, so no schedule meets it
+LOW_PRECISION = [50, 54, 6, 34, 66, 64, 52, 40, 62, 46, 76, 28, 66, 18, 38,
+                 18, 14, 80, 34, 70, 78, 20, 40, 14, 10, 44, 62, 72, 14, 46]
+
+
+class TestCommonFactor:
+    """The search runs on the times divided by their common factor, which
+    keeps every schedule's rank and divides every makespan."""
+
+    def test_low_precision_file(self):
+        # undivided, proving that nothing reaches 439 generated more than
+        # 2^26 nodes; halved, the bound 220 is met at the first leaf
+        instance = make_instance(3, LOW_PRECISION)
+        for lpt in (False, True):
+            result = branch_and_bound(instance, lpt_order=lpt, node_budget=10_000)
+            assert result.optimum == 440
+            assert makespan(instance, result.best_schedule) == 440
+        assert decide(instance, 1000, node_budget=10_000)[0]
+        assert decide(instance, 439, node_budget=10_000) == (False, None)
+
+    @given(
+        st.integers(2, 5),
+        st.lists(st.integers(1, 50), min_size=1, max_size=10),
+        st.sampled_from([2, 3, 1000, 10**6 + 3]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_the_times(self, m, times, c):
+        instance = make_instance(m, times)
+        scaled = make_instance(m, [c * p for p in times])
+        for lpt in (False, True):
+            result = branch_and_bound(instance, lpt_order=lpt)
+            assert branch_and_bound(scaled, lpt_order=lpt) == SolveResult(
+                result.best_schedule,
+                c * result.optimum,
+                result.leaves_explored,
+                result.nodes_pruned,
+            )
+        optimum = result.optimum
+        witness = prove(instance).schedule
+        assert decide(scaled, c * optimum) == (True, Certificate(witness, c * optimum))
+        # a "no" reports the incumbent the undivided search starts from
+        lpt_makespan = solver_module._lpt_makespan(m, scaled.processing_times)
+        for threshold in (c * optimum - 1, c * optimum - c, c * (optimum - 1) + 1):
+            assert decide(scaled, threshold) == (False, None)
+            assert solver_module._search(
+                m, scaled.processing_times, threshold, 10**6
+            ).optimum == min(lpt_makespan, threshold) + 1
 
 
 class TestSearchWitnesses:
@@ -543,9 +705,10 @@ class TestMagicSchedule:
             assert magic_schedule(instance).success == (2 * optimum == sum(times))
 
     def test_exhaustive_node_budget(self, monkeypatch):
-        # every weight is even but half the total, 21, is odd: no balanced
-        # split, and the search would generate about 47 k nodes
-        instance = make_instance(2, [2] * 19 + [4])
+        # the total 58 is even, but every subset sums to a multiple of 3 or
+        # one more, and half the total, 29, is neither: no balanced split,
+        # and the search would generate about 47 k nodes
+        instance = make_instance(2, [3] * 19 + [1])
         monkeypatch.setattr(solver_module, "DEFAULT_LEAF_BUDGET", 1000)
         with pytest.raises(BudgetExceeded):
             magic_schedule(instance)
@@ -607,7 +770,8 @@ class TestBalancedSplitRoutes:
         no_set[-1] += 2 * (1 - sum(no_set) // 2 % 2)
         assert not half_sum_reachable(no_set)
         monkeypatch.setattr(solver_module, "_search", _raise)
-        # [2] * 19 + [4] took about 47 k search nodes to refute
+        # [2] * 19 + [4] is refuted here by the half sums, before the search
+        # could divide out its common factor
         for times in ([1, 1, 6], [2] * 19 + [4], no_set):
             instance = make_instance(2, times)
             assert list(exhaustive_strategy(instance)) == []
