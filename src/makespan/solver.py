@@ -45,9 +45,9 @@ from .model import (
 _TAIL_CELLS = 1 << 12
 
 # The pruned search's window cut keeps the subset sums of the jobs left for
-# at most this many levels, so for at most 2^16 sums a level and 2^17 in all:
-# with times below 2^30 a search's tracemalloc peak stays under 8 MiB.
-_WINDOW_LEVELS = 16
+# at most this many levels, so for at most 2^14 sums a level and 2^15 in all:
+# with times below 2^30 a search's tracemalloc peak stays under 2 MiB.
+_WINDOW_LEVELS = 14
 
 
 class SolveResult(_Record):
@@ -192,10 +192,9 @@ def _search(
     same schedules pass, in the same order, so the witness is the same, and
     a bound that no schedule meets only for want of the factor (an odd
     ceil(total/m) over even times) is not left to be proved by exhausting
-    the tree.  A "no" returns the incumbent of the undivided times.  The
-    incumbent starts at limit = min(LPT makespan, threshold) + 1: the +1
-    lets the search still reach the least schedule when LPT is already
-    optimal.  Machines are tried in index order, and of several machines
+    the tree.  The incumbent starts at limit = min(LPT makespan, threshold)
+    + 1 on the divided times: the +1 lets the search still reach the least
+    schedule when LPT is already optimal, and a "no" returns limit * g.  Machines are tried in index order, and of several machines
     with equal current load only the first: relabelling the others gives a
     lexicographically larger schedule of the same makespan.  A child is cut
     when its largest load reaches the incumbent; the other lower bounds,
@@ -212,7 +211,7 @@ def _search(
     listed, each list on first use, and bisected once per machine.  Deeper
     tables cut nearer the root, where a cut drops more, but a level k jobs
     from the end lists 2^k sums: the rule keeps up to 13 jobs at 8 levels
-    or fewer, and reaches the cap, which bounds the tables' memory, at 28
+    or fewer, and reaches the cap, which bounds the tables' memory, at 24
     jobs.  No two consecutive subset sums lie further apart than gap, worked
     out for each of those levels when the search starts, so while the slack
     is at least gap every window holds a sum, and neither the check nor its
@@ -229,20 +228,16 @@ def _search(
     (all m children of each expanded node count), or when a path from the
     root is deeper than the interpreter's recursion limit allows.
     """
-    # a "no" returns the incumbent of the undivided times
-    lpt = _lpt_makespan(m, times)
-    refuted = min(lpt, threshold) + 1
     g = math.gcd(*times)
     if g > 1:
         times = tuple(p // g for p in times)
         threshold //= g
-        lpt //= g
     n = len(times)
     total = sum(times)
     target = max(-(-total // m), max(times))
-    limit = min(lpt, threshold) + 1
+    limit = min(_lpt_makespan(m, times), threshold) + 1
     if limit <= target:
-        return SolveResult((), refuted, 0, 0)
+        return SolveResult((), limit * g, 0, 0)
     # least[k] is the shortest of the jobs from level k on (0 past the end)
     least = list(itertools.accumulate(reversed(times), min))[::-1] + [0]
     # For the levels k from window_from on, reach[k] is the sorted list of
@@ -363,7 +358,7 @@ def _search(
             f"the search nests one call per job, and {n} jobs go deeper "
             f"than the interpreter's recursion limit allows"
         ) from None
-    return SolveResult(best_a, best * g if best_a else refuted, leaves, pruned)
+    return SolveResult(best_a, best * g, leaves, pruned)
 
 
 def branch_and_bound(

@@ -259,12 +259,16 @@ class TestBranchAndBound:
         assert result.leaves_explored == 1
 
     def test_equal_loads_tried_once(self):
-        # the common factor 3 leaves four jobs of 1, whose optimum 2 is
-        # ceil(4/3), so the search stops at its first leaf (1, 1, 2, 2); its
-        # 2 cuts skip the root's machines 2 and 3, whose load equals
-        # machine 1's, and the optimum scales back to 6
-        result = branch_and_bound(make_instance(3, [3, 3, 3, 3]))
-        assert result == SolveResult((1, 1, 2, 2), 6, 1, 2)
+        # the optimum 6 is above ceil(13/3), so the search runs to the end;
+        # of its 8 cuts, 4 skip a machine whose load equals an earlier
+        # machine's (2 at the root, 1 below [3, 0, 0], 1 below [6, 0, 0]),
+        # 3 are load bounds against the LPT incumbent 7 (1 below [6, 0, 0],
+        # 2 below [6, 3, 0]), and 1 is for wasted space: once the leaf
+        # (1, 1, 2, 3) makes the incumbent 6, the child [3, 3, 0] leaves
+        # cap 5, where machines of load 3 cannot take another job of 3;
+        # they lose 2 + 2 = 4, more than the slack 3 * 5 - 13 = 2
+        result = branch_and_bound(make_instance(3, [3, 3, 3, 4]))
+        assert result == SolveResult((1, 1, 2, 3), 6, 1, 4 + 3 + 1)
 
     @given(
         st.integers(2, 5),
@@ -431,9 +435,8 @@ class TestWindowCut:
         )
 
     # With the cut on at m=2 these three searches would make 15, 17 and 47
-    # cuts (25, 33 and 60 with 8 levels of tables); the pinned counts are
-    # the search without it.  The times share no common factor, so the
-    # search runs on them as they are.
+    # cuts; the pinned counts are the search without it.  The times share
+    # no common factor, so the search runs on them as they are.
     @pytest.mark.parametrize(
         "times, threshold, expected",
         [
@@ -465,13 +468,13 @@ class TestWindowCut:
         assert result == expected
 
     def test_tables_stay_under_their_memory_bound(self):
-        # 40 jobs get the cap of 16 levels of tables, built within the first
-        # 10^4 nodes; the deepest lists 2^16 sums, whose pointers alone take
-        # 0.5 MiB, so a peak above that shows it was built.  The bound is
+        # 40 jobs get the cap of 14 levels of tables, built within the first
+        # 10^4 nodes; the deepest lists 2^14 sums, whose pointers alone take
+        # 128 KiB, so a peak above that shows it was built.  The bound is
         # the one stated next to _WINDOW_LEVELS.
         rng = random.Random(0)
         times = tuple(sorted((rng.randint(10**5, 10**6) for _ in range(40)), reverse=True))
-        assert solver_module._WINDOW_LEVELS == 16
+        assert solver_module._WINDOW_LEVELS == 14
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded):
@@ -479,7 +482,7 @@ class TestWindowCut:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 2**16 * 8 < peak < 8 * 2**20
+        assert 2**14 * 8 < peak < 2 * 2**20
 
 
 def planted_case(seed):
@@ -518,7 +521,8 @@ class TestPastTheFullScan:
     OVER_BUDGET = {
         (0, False), (0, True), (4, False), (4, True), (5, False), (5, True),
         (8, False), (8, True), (9, False), (10, True), (11, False),
-        (11, True), (12, True), (13, False), (13, True), (14, False),
+        (11, True), (12, False), (12, True), (13, False), (13, True),
+        (14, False),
     }
 
     def test_planted_optimum(self):
@@ -578,8 +582,8 @@ class TestCommonFactor:
     keeps every schedule's rank and divides every makespan."""
 
     def test_low_precision_file(self):
-        # undivided, proving that nothing reaches 439 generated more than
-        # 2^26 nodes; halved, the bound 220 is met at the first leaf
+        # undivided, proving that nothing reaches 439 takes more than 2^26
+        # nodes; halved, the bound 220 is met at the first leaf
         instance = make_instance(3, LOW_PRECISION)
         for lpt in (False, True):
             result = branch_and_bound(instance, lpt_order=lpt, node_budget=10_000)
@@ -608,13 +612,14 @@ class TestCommonFactor:
         optimum = result.optimum
         witness = prove(instance).schedule
         assert decide(scaled, c * optimum) == (True, Certificate(witness, c * optimum))
-        # a "no" reports the incumbent the undivided search starts from
-        lpt_makespan = solver_module._lpt_makespan(m, scaled.processing_times)
+        # a "no" runs the same search as the unscaled one below threshold // c
+        no = solver_module._search(m, instance.processing_times, optimum - 1, 10**6)
+        assert no.best_schedule == ()
         for threshold in (c * optimum - 1, c * optimum - c, c * (optimum - 1) + 1):
             assert decide(scaled, threshold) == (False, None)
             assert solver_module._search(
                 m, scaled.processing_times, threshold, 10**6
-            ).optimum == min(lpt_makespan, threshold) + 1
+            ) == SolveResult((), c * no.optimum, no.leaves_explored, no.nodes_pruned)
 
 
 class TestSearchWitnesses:
@@ -770,8 +775,8 @@ class TestBalancedSplitRoutes:
         no_set[-1] += 2 * (1 - sum(no_set) // 2 % 2)
         assert not half_sum_reachable(no_set)
         monkeypatch.setattr(solver_module, "_search", _raise)
-        # [2] * 19 + [4] is refuted here by the half sums, before the search
-        # could divide out its common factor
+        # [2] * 19 + [4] is refuted here by the half sums, before the
+        # search's division by the common factor
         for times in ([1, 1, 6], [2] * 19 + [4], no_set):
             instance = make_instance(2, times)
             assert list(exhaustive_strategy(instance)) == []
