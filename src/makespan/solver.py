@@ -194,8 +194,9 @@ def _search(
     ceil(total/m) over even times) is not left to be proved by exhausting
     the tree.  The incumbent starts at limit = min(LPT makespan, threshold)
     + 1 on the divided times: the +1 lets the search still reach the least
-    schedule when LPT is already optimal, and a "no" returns limit * g.  Machines are tried in index order, and of several machines
-    with equal current load only the first: relabelling the others gives a
+    schedule when LPT is already optimal, and a "no" returns limit * g.
+    Machines are tried in index order, and of several machines with equal
+    current load only the first: relabelling the others gives a
     lexicographically larger schedule of the same makespan.  A child is cut
     when its largest load reaches the incumbent; the other lower bounds,
     ceil(total/m) and the largest remaining job, never exceed `target`, so

@@ -262,11 +262,12 @@ class TestBranchAndBound:
         # the optimum 6 is above ceil(13/3), so the search runs to the end;
         # of its 8 cuts, 4 skip a machine whose load equals an earlier
         # machine's (2 at the root, 1 below [3, 0, 0], 1 below [6, 0, 0]),
-        # 3 are load bounds against the LPT incumbent 7 (1 below [6, 0, 0],
-        # 2 below [6, 3, 0]), and 1 is for wasted space: once the leaf
-        # (1, 1, 2, 3) makes the incumbent 6, the child [3, 3, 0] leaves
-        # cap 5, where machines of load 3 cannot take another job of 3;
-        # they lose 2 + 2 = 4, more than the slack 3 * 5 - 13 = 2
+        # 3 are load bounds against the starting incumbent 7, LPT's 6 plus 1
+        # (1 below [6, 0, 0], 2 below [6, 3, 0]), and 1 is for wasted
+        # space: once the leaf (1, 1, 2, 3) makes the incumbent 6, the child
+        # [3, 3, 0] leaves cap 5, where machines of load 3 cannot take
+        # another job of 3; they lose 2 + 2 = 4, more than the slack
+        # 3 * 5 - 13 = 2
         result = branch_and_bound(make_instance(3, [3, 3, 3, 4]))
         assert result == SolveResult((1, 1, 2, 3), 6, 1, 4 + 3 + 1)
 
