@@ -356,10 +356,15 @@ def schedule_from_job_sets(job_sets_: Sequence[Iterable[int]]) -> Schedule:
     """Build a schedule from per-machine job sets (machine j = entry j-1).
 
     The sets must hold plain int job ids (so not True or 1.0), be pairwise
-    disjoint and cover 1..n exactly; raises InvalidSchedule otherwise.
+    disjoint and cover 1..n exactly; raises InvalidSchedule otherwise, and
+    when the sets or one machine's set cannot be iterated (None, an int).
     """
+    if not isinstance(job_sets_, Iterable):
+        raise InvalidSchedule(f"job sets are {job_sets_!r}, not a sequence of sets of job ids")
     assignment: dict[int, int] = {}
     for machine, jobs in enumerate(job_sets_, 1):
+        if not isinstance(jobs, Iterable):
+            raise InvalidSchedule(f"machine {machine}'s job set is {jobs!r}, not a set of job ids")
         for job in jobs:
             if type(job) is not int:
                 raise InvalidSchedule(f"job id {job!r} is not an integer")

@@ -3,12 +3,12 @@
 ``brute_force_opt`` prices every one of the m^n leaves and returns the
 lexicographically least optimal schedule.  ``_search`` is the one pruned
 search: identical-machine symmetry breaking, an LPT incumbent, a cut at the
-incumbent, a wasted-space cut, a load-window cut over the subset sums of the
-last jobs (off at m=2; tables for at most n // 2 + 2 levels, capped at
-_WINDOW_LEVELS; a bound on the gap between consecutive sums is worked out for
-each such level when the search starts, and the check is skipped while the
-slack is at least that bound) and a stop at the lower bound.  It searches the
-times divided by their common factor.
+incumbent, a fit cut when the room the machines cannot fill exceeds the slack
+(estimated from the subset sums of the last jobs where the slack is below the
+widest step between consecutive sums, and from the shortest job left
+elsewhere; sums off at m=2, kept for at most n // 2 + 2 levels, capped at
+_WINDOW_LEVELS) and a stop at the lower bound.  It searches the times divided
+by their common factor.
 ``branch_and_bound``, ``exhaustive_strategy`` and the verifier's ``prove``
 and ``decide`` run it, and it returns the same optimum as the full scan.
 ``_splits_evenly`` decides from two lists of half sums whether weights split
@@ -25,7 +25,7 @@ random sampling).
 import heapq
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .model import (
@@ -44,7 +44,7 @@ from .model import (
 # The full scan's tail table holds at most this many loads: m^k rows of m.
 _TAIL_CELLS = 1 << 12
 
-# The pruned search's window cut keeps the subset sums of the jobs left for
+# The pruned search's fit cut keeps the subset sums of the jobs left for
 # at most this many levels, so for at most 2^14 sums a level and 2^15 in all:
 # with times below 2^30 a search's tracemalloc peak stays under 2 MiB.
 _WINDOW_LEVELS = 14
@@ -56,9 +56,9 @@ class SolveResult(_Record):
     leaves_explored counts priced leaves; nodes_pruned counts the children
     the pruned search does not expand: machines skipped because an earlier
     machine has the same load, children whose largest load reaches the
-    incumbent, children cut for wasted space, and children cut because the
-    jobs left cannot bring some machine into its load window (always 0 for
-    the full scan).
+    incumbent, and children whose machines leave more room below it than
+    the jobs left can fill and the slack can spare (always 0 for the full
+    scan).
     """
 
     __slots__ = __match_args__ = ("best_schedule", "optimum", "leaves_explored", "nodes_pruned")
@@ -201,27 +201,28 @@ def _search(
     when its largest load reaches the incumbent; the other lower bounds,
     ceil(total/m) and the largest remaining job, never exceed `target`, so
     they are below the incumbent for as long as the search runs.  A child is
-    also cut for wasted space: a machine whose load is within the shortest
-    remaining job of cap = incumbent - 1 can take no more jobs, and when the
-    space so lost exceeds the slack m*cap - total, the remaining jobs cannot
-    fit under cap.  A child is last cut by its load window (Korf 2009;
-    Schreiber, Korf & Moffitt 2018): below cap every final load lies in
-    [total - (m-1)*cap, cap], so a machine of load x needs a subset of the
-    jobs left whose sum brings it there.  For the last n // 2 + 2 levels,
-    at most _WINDOW_LEVELS, the sorted subset sums of the jobs left are
-    listed, each list on first use, and bisected once per machine.  Deeper
+    also cut when the jobs left cannot fit: below cap = incumbent - 1 a
+    machine of load x takes jobs left summing to at most its room cap - x,
+    so once the room the machines cannot fill exceeds the slack
+    m*cap - total, no completion stays under cap.  One of two estimates of
+    that room runs.  For the last n // 2 + 2 levels, at most _WINDOW_LEVELS,
+    the sorted subset sums of the jobs left are listed, each list on first
+    use, and each machine fills at most the largest sum within its room, one
+    bisection each (Korf 2009; Schreiber, Korf & Moffitt 2018).  Deeper
     tables cut nearer the root, where a cut drops more, but a level k jobs
     from the end lists 2^k sums: the rule keeps up to 13 jobs at 8 levels
     or fewer, and reaches the cap, which bounds the tables' memory, at 24
     jobs.  No two consecutive subset sums lie further apart than gap, worked
     out for each of those levels when the search starts, so while the slack
-    is at least gap every window holds a sum, and neither the check nor its
-    list is made.  The window cut is off at m=2, where window_from = n
-    leaves gap 0 at every level: there it would make the balanced-split
+    is at least gap no machine alone loses more than the slack, and neither
+    the bisections nor the list are made.  There, and on the levels without
+    tables, a room below the shortest job left is counted lost whole
+    (Martello & Toth 1990).  The sums are off at m=2, where window_from = n
+    leaves gap 0 at every level: there they would make the balanced-split
     search over ten times faster, but the benchmark keeps every op's record,
     so the extra ops would overrun its memory bound until those records take
-    fixed memory.  All three cuts drop only subtrees without a schedule
-    below the incumbent, so the witness does not depend on them.
+    fixed memory.  Both cuts drop only subtrees without a schedule below the
+    incumbent, so the witness does not depend on them.
     The search stops as soon as the incumbent reaches `target`, which no
     schedule beats.
 
@@ -308,41 +309,36 @@ def _search(
                     return True
                 continue
             current[j] = load
-            # Wasted space: a completion that beats the incumbent keeps every
-            # load at most cap, so a machine above cap - shortest takes no
-            # further job and its residual is lost.  Once more is lost than
-            # the m*cap - total units of slack, the jobs left cannot fit.
-            # Nothing is lost while the largest load is at most that edge, and
-            # the largest load's loss alone usually settles the question.
-            if top + shortest >= best:
+            # Fit: a completion that beats the incumbent keeps every load at
+            # most cap, so a machine of load x takes jobs left summing to at
+            # most its room cap - x, and the room it cannot fill is lost.
+            # Once more is lost than the m*cap - total units of slack, the
+            # jobs left cannot fit.  While the slack is below gap[nxt], where
+            # one machine alone can lose more than the slack, each machine
+            # fills at most the largest subset sum of the jobs left within
+            # its room, one bisection each (Korf 2009).  Otherwise a room
+            # below the shortest job left is lost whole (Martello & Toth
+            # 1990): nothing is lost while the largest load is at most
+            # cap - shortest, and its loss alone usually settles the question.
+            if slack < gap[nxt] or top + shortest >= best:
                 cap = best - 1
-                waste = cap - top
-                if waste <= slack:
-                    edge = cap - shortest
+                if slack < gap[nxt]:
+                    sums = reach[nxt] or subset_sums(nxt)
                     waste = 0
                     for x in current:
-                        if x > edge:
-                            waste += cap - x
+                        room = cap - x
+                        waste += room - sums[bisect_right(sums, room) - 1]
+                        if waste > slack:
+                            break
+                else:
+                    waste = cap - top
+                    if waste <= slack:
+                        edge = cap - shortest
+                        waste = 0
+                        for x in current:
+                            if x > edge:
+                                waste += cap - x
                 if waste > slack:
-                    current[j] = load - p
-                    pruned += 1
-                    continue
-            # Window: a completion below the incumbent leaves every machine at
-            # least floor = total - (m-1)*cap, so one of load x < floor needs
-            # jobs left whose sum lies in [floor - x, cap - x].  Each window
-            # is slack wide, so a slack of at least gap[nxt] leaves a sum in
-            # every one.  floor - x is at most the sum of the jobs left, the
-            # last entry of sums.
-            if slack < gap[nxt]:
-                sums = reach[nxt] or subset_sums(nxt)
-                cap = best - 1
-                floor = cap - slack
-                cut = False
-                for x in current:
-                    if x < floor and sums[bisect_left(sums, floor - x)] > cap - x:
-                        cut = True
-                        break
-                if cut:
                     current[j] = load - p
                     pruned += 1
                     continue
@@ -370,14 +366,13 @@ def branch_and_bound(
     """Exact optimum by the pruned search, seeded with the LPT makespan.
 
     The search skips machines of equal load and cuts children whose largest
-    load reaches the incumbent, whose wasted space leaves the remaining jobs
-    no room below it, or, from m=3 on, where no subset of the last jobs
-    brings some machine into its load window (see _search).  The optimum
-    always equals brute_force_opt's; the schedule is the lexicographically
-    least optimal one in search order.  The jobs are searched in file order,
-    or with lpt_order=True longest first, which usually finds good schedules
-    much sooner; either way the one search runs on the reordered times and
-    its schedule is mapped back to file order.
+    load reaches the incumbent, or whose machines leave more room below it
+    than the remaining jobs can fill and the slack can spare (see _search).
+    The optimum always equals brute_force_opt's; the schedule is the
+    lexicographically least optimal one in search order.  The jobs are
+    searched in file order, or with lpt_order=True longest first, which
+    usually finds good schedules much sooner; either way the one search runs
+    on the reordered times and its schedule is mapped back to file order.
     Raises BudgetExceeded once the search generates more than `node_budget`
     nodes.
     """

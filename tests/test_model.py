@@ -225,6 +225,21 @@ class TestJobSets:
         with pytest.raises(InvalidSchedule, match="is not an integer"):
             schedule_from_job_sets(sets)
 
+    @pytest.mark.parametrize(
+        "sets,message",
+        [
+            ([1, 2], "machine 1's job set is 1, not a set of job ids"),
+            ([{1}, None], "machine 2's job set is None, not a set of job ids"),
+            (None, "job sets are None, not a sequence of sets of job ids"),
+        ],
+        ids=["flat-assignment", "none-row", "none"],
+    )
+    def test_not_iterable_named(self, sets, message):
+        # a flat assignment such as (1, 2) is not a list of job sets
+        with pytest.raises(InvalidSchedule) as excinfo:
+            schedule_from_job_sets(sets)
+        assert str(excinfo.value) == message
+
 
 class TestInvariants:
     @given(instances_with_schedule())

@@ -263,11 +263,11 @@ class TestBranchAndBound:
         # of its 8 cuts, 4 skip a machine whose load equals an earlier
         # machine's (2 at the root, 1 below [3, 0, 0], 1 below [6, 0, 0]),
         # 3 are load bounds against the starting incumbent 7, LPT's 6 plus 1
-        # (1 below [6, 0, 0], 2 below [6, 3, 0]), and 1 is for wasted
-        # space: once the leaf (1, 1, 2, 3) makes the incumbent 6, the child
-        # [3, 3, 0] leaves cap 5, where machines of load 3 cannot take
-        # another job of 3; they lose 2 + 2 = 4, more than the slack
-        # 3 * 5 - 13 = 2
+        # (1 below [6, 0, 0], 2 below [6, 3, 0]), and 1 is the fit cut:
+        # once the leaf (1, 1, 2, 3) makes the incumbent 6, the child
+        # [3, 3, 0] leaves cap 5, where machines of load 3 can take neither
+        # job left, 3 or 4; they lose 2 + 2 = 4, already more than the
+        # slack 3 * 5 - 13 = 2
         result = branch_and_bound(make_instance(3, [3, 3, 3, 4]))
         assert result == SolveResult((1, 1, 2, 3), 6, 1, 4 + 3 + 1)
 
@@ -291,9 +291,11 @@ class TestBranchAndBound:
         # fits under cap 23.  The slack 3 * 23 - 63 is 6, and below the first
         # job the shortest job left is 6, so a machine above 17 loses the
         # space between its load and cap, which no job fills; once the
-        # machines lose more than 6 between them, the wasted-space cut ends
-        # that subtree at once.  The search then generates 600 nodes; without
-        # the cut it generates 2085.
+        # machines lose more than 6 between them, the fit cut ends that
+        # subtree at once.  No two subset sums of the jobs left lie more than
+        # 6 apart, so the slack is never below that step, and the cut runs
+        # its coarse estimate, from the shortest job left, throughout.  The
+        # search then generates 600 nodes; without the cut it generates 2085.
         instance = make_instance(3, [7, 6, 6, 8, 6, 6, 6, 6, 6, 6])
         assert branch_and_bound(instance, node_budget=1000).optimum == 24
 
@@ -334,31 +336,49 @@ def window_cases(draw):
 
 
 class TestWindowCut:
-    """The load-window cut: below cap = incumbent - 1 every final load lies in
-    [total - (m-1)*cap, cap], and a child whose jobs left have no subset sum
-    that brings some machine there is cut.  It is off at m=2."""
+    """The fit cut's subset-sum estimate: below cap = incumbent - 1 a machine
+    of load x fills at most the largest subset sum of the jobs left within
+    its room cap - x, and a child whose machines lose more room than the
+    slack m*cap - total is cut.  The sums are off at m=2."""
 
     def test_window_cut_alone(self):
         # total 21 over 3 machines, bound 7, LPT 8.  The first leaf
-        # (1, 1, 2, 2, 3, 3) makes the incumbent 8, so cap is 7 and every
-        # final load must be at least 21 - 2 * 7 = 7.  Of the 12 cuts, 6 skip
-        # a machine whose load equals an earlier machine's (2 at the root, 1
-        # each below [4, 0, 0], [8, 0, 0], [8, 8, 0] and [8, 8, 4]), 5 are
-        # load bounds against the incumbent (1 below [8, 0, 0], 2 below
-        # [8, 4, 0], 1 below [8, 8, 0], 1 below [8, 8, 4]), and 1 is the
-        # window cut: the child [4, 4, 0] needs jobs summing to exactly 3 on
-        # a machine of load 4, and the jobs left, 4, 4, 4 and 1, sum to 0, 1,
-        # 4, 5, 8, 9, 12 or 13.  The wasted-space cut fires nowhere in this
-        # search; without the window cut [4, 4, 0] is expanded, and the
-        # search makes 16 cuts.
+        # (1, 1, 2, 2, 3, 3) makes the incumbent 8, so cap is 7 and the slack
+        # 3 * 7 - 21 is 0.  Of the 12 cuts, 6 skip a machine whose load
+        # equals an earlier machine's (2 at the root, 1 each below
+        # [4, 0, 0], [8, 0, 0], [8, 8, 0] and [8, 8, 4]), 5 are load bounds
+        # against the incumbent (1 below [8, 0, 0], 2 below [8, 4, 0], 1
+        # below [8, 8, 0], 1 below [8, 8, 4]), and 1 is the fit cut: the
+        # child [4, 4, 0] has rooms 3, 3 and 7, and the jobs left, 4, 4, 4
+        # and 1, sum to 0, 1, 4, 5, 8, 9, 12 or 13, so the machines fill 1,
+        # 1 and 5 and lose 6.  No machine's load is within the shortest job
+        # left, 1, of cap, so the coarse estimate would lose nothing; with it
+        # alone [4, 4, 0] is expanded, and the search makes 16 cuts.
         result = branch_and_bound(make_instance(3, [4, 4, 4, 4, 4, 1]))
         assert result == SolveResult((1, 1, 2, 2, 3, 3), 8, 1, 6 + 5 + 1)
+
+    def test_summed_waste_alone(self):
+        # total 24 over 3 machines, bound 8, LPT 10.  The first leaf
+        # (1, 2, 2, 3, 1) makes the incumbent 10, so cap is 9 and the slack
+        # 3 * 9 - 24 is 3.  Of the 10 cuts, 3 skip a machine whose load
+        # equals an earlier machine's (2 at the root, 1 below [8, 0, 0]), 6
+        # are load bounds against the incumbent (1 each below [8, 0, 0] and
+        # [8, 5, 0], 2 each below [8, 10, 0] and [8, 10, 5]), and 1 is the
+        # fit cut: the child [8, 5, 5] has rooms 1, 4 and 4, and the jobs
+        # left, 5 and 1, sum to 0, 1, 5 or 6, so the machines fill 1, 1 and
+        # 1 and lose 0 + 3 + 3 = 6.  Each machine of load 5 alone loses 3,
+        # no more than the slack, and can still reach the final load
+        # 24 - 2 * 9 = 6 that every machine needs; only their summed loss
+        # cuts [8, 5, 5].  A test of one machine at a time expands it, and
+        # that search makes 12 cuts.
+        result = branch_and_bound(make_instance(3, [8, 5, 5, 5, 1]))
+        assert result == SolveResult((1, 2, 2, 3, 1), 10, 1, 3 + 6 + 1)
 
     def test_hard_instance_node_budget(self):
         # m=3/n=20 with times in [10^5, 10^6], longest first: nearly all of
         # the search proves that nothing beats the optimum 3717627, 58 above
-        # ceil(total/3).  With the window cut it generates 54,789 nodes;
-        # without it, 1,301,664.
+        # ceil(total/3).  With the fit cut's subset-sum estimate it
+        # generates 2,076 nodes; with its coarse estimate alone, 1,301,664.
         rng = random.Random(0)
         times = sorted((rng.randint(10**5, 10**6) for _ in range(20)), reverse=True)
         result = branch_and_bound(make_instance(3, times), node_budget=10**5)
@@ -389,27 +409,27 @@ class TestWindowCut:
         [
             pytest.param(
                 3, 16, False, 2966740,
-                ((1, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 3, 3, 2, 2, 3), 8, 559), 129,
+                ((1, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 3, 3, 2, 2, 3), 8, 307), 129,
                 id="m3-n16-file",
             ),
             pytest.param(
                 3, 16, True, 2966740,
-                ((1, 2, 3, 2, 2, 1, 1, 3, 3, 3, 1, 3, 2, 2, 2, 1), 6, 413), 121,
+                ((1, 2, 3, 2, 2, 1, 1, 3, 3, 3, 1, 3, 2, 2, 2, 1), 6, 243), 115,
                 id="m3-n16-lpt",
             ),
             pytest.param(
                 4, 13, False, 1336760,
-                ((1, 2, 1, 3, 2, 1, 3, 3, 1, 4, 4, 4, 2), 6, 1129), 688,
+                ((1, 2, 1, 3, 2, 1, 3, 3, 1, 4, 4, 4, 2), 6, 412), 151,
                 id="m4-n13-file",
             ),
             pytest.param(
                 4, 13, True, 1336760,
-                ((1, 2, 3, 2, 4, 4, 4, 3, 1, 1, 3, 3, 2), 8, 560), 271,
+                ((1, 2, 3, 2, 4, 4, 4, 3, 1, 1, 3, 3, 2), 8, 290), 82,
                 id="m4-n13-lpt",
             ),
             pytest.param(
                 5, 11, False, 1628998,
-                ((1, 2, 2, 3, 4, 5, 3, 1, 5, 4, 2), 1, 336), 325,
+                ((1, 2, 2, 3, 4, 5, 3, 1, 5, 4, 2), 1, 212), 197,
                 id="m5-n11-file",
             ),
             pytest.param(
@@ -502,11 +522,50 @@ def planted_case(seed):
     return m, times, goal
 
 
+def three_machines_fit(times, cap):
+    """Independent decision for m=3: can the jobs run with every load at most
+    cap?  A dynamic program over machine 1's load, each row one int whose
+    set bits are the loads machine 2 can have beside it, capped at cap;
+    machine 3 takes the rest, so the answer is yes iff some pair leaves it
+    at most cap."""
+    mask = (1 << (cap + 1)) - 1
+    rows = [1] + [0] * cap
+    for p in times:
+        # the job goes to machine 3 (row kept), 2 (row shifted) or 1 (row
+        # moved p places along)
+        rows = [
+            (row | row << p | (rows[load - p] if load >= p else 0)) & mask
+            for load, row in enumerate(rows)
+        ]
+    total = sum(times)
+    return any(row >> max(total - load - cap, 0) for load, row in enumerate(rows))
+
+
+def three_machine_optimum(times):
+    cap = max(-(-sum(times) // 3), max(times))
+    while not three_machines_fit(times, cap):
+        cap += 1
+    return cap
+
+
+def three_machine_case(seed):
+    """14-24 times in 1-60: plain draws at even seeds; at odd seeds even
+    times with the first one less 1, whose odd total often leaves the bound
+    ceil(total/3) out of reach, so that the search must prove it."""
+    rng = random.Random(seed)
+    n = rng.randint(14, 24)
+    if seed % 2 == 0:
+        return [rng.randint(1, 60) for _ in range(n)]
+    times = [2 * rng.randint(1, 30) for _ in range(n)]
+    times[0] -= 1
+    return times
+
+
 @st.composite
 def beyond_the_full_scan(draw):
     """m 3-5 and 12-20 wide (10^5-10^6) times: past what the full scan or
-    the tests' product oracle can price, and deep enough for the window
-    cut's tables to reach above the middle."""
+    the tests' product oracle can price, and deep enough for the fit cut's
+    tables of subset sums to reach above the middle."""
     m = draw(st.integers(3, 5))
     n = draw(st.integers(12, {3: 20, 4: 17, 5: 15}[m]))
     return m, draw(st.lists(st.integers(10**5, 10**6), min_size=n, max_size=n))
@@ -522,8 +581,7 @@ class TestPastTheFullScan:
     OVER_BUDGET = {
         (0, False), (0, True), (4, False), (4, True), (5, False), (5, True),
         (8, False), (8, True), (9, False), (10, True), (11, False),
-        (11, True), (12, False), (12, True), (13, False), (13, True),
-        (14, False),
+        (11, True), (12, True), (13, False), (13, True),
     }
 
     def test_planted_optimum(self):
@@ -541,6 +599,36 @@ class TestPastTheFullScan:
                 assert result.optimum == goal
                 assert makespan(instance, result.best_schedule) == goal
         assert over == self.OVER_BUDGET
+
+    # Three-machine cases past 10^5 nodes, as (seed, lpt_order).
+    OVER_BUDGET_AT_THREE = {(5, True)}
+
+    def test_three_machine_load_oracle(self):
+        over = set()
+        above_the_bound = 0
+        for seed in range(24):
+            times = three_machine_case(seed)
+            optimum = three_machine_optimum(times)
+            above_the_bound += optimum > -(-sum(times) // 3)
+            instance = make_instance(3, times)
+            for lpt in (False, True):
+                try:
+                    result = branch_and_bound(instance, lpt_order=lpt, node_budget=10**5)
+                except BudgetExceeded:
+                    over.add((seed, lpt))
+                    continue
+                assert result.optimum == optimum
+                assert makespan(instance, result.best_schedule) == optimum
+        assert over == self.OVER_BUDGET_AT_THREE
+        # the searches that refute the bound are the ones the oracle checks
+        assert above_the_bound == 5
+
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    def test_load_oracle_agrees_with_the_product_scan(self, times):
+        optimum, _ = oracle_min_makespan(3, times)
+        assert three_machine_optimum(times) == optimum
+        assert not three_machines_fit(times, optimum - 1)
 
     @given(beyond_the_full_scan(), st.randoms(use_true_random=False))
     @settings(max_examples=30, deadline=None)
